@@ -1,44 +1,32 @@
-// The multi-threaded asynchronous core of SEMPLAR (Fig. 2 / §4.2–4.3),
-// rebuilt as a work-stealing pool. The paper's single FIFO queue + mutex +
-// condvar serialized every submit, dequeue, speculative try_submit and
-// deferred-replay re-enqueue on one lock; here each worker owns a
-// Chase–Lev lock-free deque (owner pushes/pops LIFO at the bottom, thieves
-// steal FIFO from the top) and external producers — the compute thread,
-// the prefetcher, the replay timer — hand tasks through a bounded Vyukov
-// MPMC injection ring. A worker takes its own deque first, then a batch
-// from the injection ring (surplus parked in its deque where siblings can
-// steal it), then sweeps the other workers in randomized order. Idle
-// workers park on a condvar behind an atomic sleeper count, so an idle
-// pool costs nothing and a single submit wakes exactly one worker (§4.3's
-// no-busy-wait requirement, kept). Tasks live in pool-recycled slots and
-// store their callable inline (FixedFunction), so a steady-state submit
-// performs no heap allocation.
-//
-// External submissions retain FIFO arrival order through the injection
-// ring; with one worker (the lazy §7.1 configuration) they also execute
-// in FIFO order, preserving the original engine's observable behaviour.
+// The multi-threaded asynchronous core of SEMPLAR (Fig. 2 / §4.2–4.3): one
+// FIFO I/O queue under one mutex, drained by N dedicated I/O threads that
+// each make one blocking call per task. Idle workers sleep on a condvar, so
+// an idle pool costs nothing and a submit wakes one worker (§4.3's
+// no-busy-wait requirement). Every task is a blocking wire call lasting
+// milliseconds or more, so the lock is never the bottleneck (EXPERIMENTS.md
+// measures its submit cost). With one worker (the lazy §7.1 configuration)
+// tasks execute in submission order.
 //
 // Supervision (Config::Retry enabled): tasks submitted through
 // submit_supervised() that fail with a *retryable* error (see
 // common/error.hpp) are not failed immediately. They are parked in a
-// deferred min-heap keyed by their backoff due-time and re-injected by a
-// timer thread when the backoff elapses — workers never sleep on a
-// backoff, so unrelated queued requests keep flowing while a failed one
+// deferred min-heap keyed by their backoff due-time and put back on the
+// FIFO by a timer thread when the backoff elapses — workers never sleep on
+// a backoff, so unrelated queued requests keep flowing while a failed one
 // waits out its delay. A replayed task may complete on a different worker
 // than its first attempt; its kTask span still records exactly once, with
 // queue residency measured from the first submission.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
-#include <memory>
+#include <cstdint>
+#include <deque>
 #include <mutex>
 #include <queue>
 #include <thread>
 #include <vector>
 
 #include "common/fixed_function.hpp"
-#include "common/queue.hpp"
 #include "core/config.hpp"
 #include "core/stats.hpp"
 #include "core/supervisor.hpp"
@@ -50,7 +38,8 @@ namespace remio::semplar {
 class AsyncEngine {
  public:
   /// A task performs one synchronous I/O call and returns bytes moved.
-  /// Stored inline when the captures fit (no heap allocation on submit).
+  /// Stored inline when the captures fit; FixedFunction (not std::function)
+  /// because callers capture move-only state.
   using Task = FixedFunction<std::size_t(), 104>;
   /// Invoked exactly once with the task's *final* outcome — after any
   /// replays — with (bytes, error); error is null on success. Runs on a
@@ -64,21 +53,22 @@ class AsyncEngine {
   /// submit_supervised() tasks. `tracer` (optional) records a kTask span
   /// per task — queue residency through final completion across replays —
   /// plus queue-depth / deferred-backlog gauges and a kBackoff span per
-  /// parked replay. `tuning` carries the steal/batch/park knobs.
+  /// parked replay. The Config::Engine argument is unused: the FIFO pool
+  /// has no tuning knobs, and the parameter stays so existing callers that
+  /// pass Config::engine keep compiling.
   AsyncEngine(int io_threads, std::size_t queue_capacity,
               Stats* stats = nullptr, const Config::Retry& retry = {},
-              obs::Tracer* tracer = nullptr,
-              const Config::Engine& tuning = {});
+              obs::Tracer* tracer = nullptr, const Config::Engine& = {});
   ~AsyncEngine();
 
   AsyncEngine(const AsyncEngine&) = delete;
   AsyncEngine& operator=(const AsyncEngine&) = delete;
 
   /// Enqueues the task; returns the completion handle (MPIO_Wait/Test on
-  /// it). Blocks while the injection queue is at capacity (worker-thread
-  /// callers never block: their submissions land on their own deque, which
-  /// grows). A failed task fails its request on the first error (no
-  /// replay).
+  /// it). Blocks while the queue is at capacity — except on one of this
+  /// engine's own workers (a prefetch chain), which enqueues past capacity
+  /// so a worker can never deadlock on its own backlog. A failed task fails
+  /// its request on the first error (no replay).
   mpiio::IoRequest submit(Task task);
 
   /// Like submit(), but retryable failures are replayed after a capped,
@@ -90,8 +80,8 @@ class AsyncEngine {
 
   /// Non-blocking fire-and-forget enqueue for speculative work (cache
   /// read-ahead): returns false instead of waiting when the queue is full
-  /// or the engine is shut down, so a worker can submit without deadlock.
-  /// The task's result and any exception are discarded.
+  /// or the engine is shut down, on every thread. The task's result and
+  /// any exception are discarded.
   bool try_submit(Task task);
 
   /// Blocks until everything enqueued so far has completed — including
@@ -116,41 +106,7 @@ class AsyncEngine {
   bool lazy() const { return lazy_; }
 
  private:
-  struct Item;   // one queued task + its request state + span (pooled)
-  struct Worker; // worker thread + its Chase–Lev deque
-
-  /// Recycling allocator for Item slots: a lock-free indexed freelist
-  /// (32-bit slot index + 32-bit ABA tag packed in one 64-bit head) over
-  /// append-only node blocks, with a plain-heap fallback once the index
-  /// space is exhausted. Steady-state submits reuse slots without
-  /// touching the heap.
-  class ItemPool {
-   public:
-    ItemPool() = default;
-    ~ItemPool();
-    ItemPool(const ItemPool&) = delete;
-    ItemPool& operator=(const ItemPool&) = delete;
-
-    /// Raw storage for one Item; caller placement-news into it.
-    void* alloc();
-    /// Caller has already run ~Item().
-    void release(void* item);
-
-   private:
-    struct Node;
-    static constexpr std::uint32_t kNil = 0xffffffffu;
-    static constexpr std::size_t kBlockSize = 256;
-    static constexpr std::size_t kMaxBlocks = 1024;
-
-    Node* node_at(std::uint32_t idx) const;
-    void push_free(Node* n);
-    void* grow();
-
-    std::atomic<std::uint64_t> head_{static_cast<std::uint64_t>(kNil)};
-    std::vector<std::atomic<Node*>> blocks_{kMaxBlocks};
-    std::atomic<std::size_t> block_count_{0};
-    std::mutex grow_mu_;
-  };
+  struct Item;  // one queued task + its request state + span
 
   struct Deferred {
     double due;  // sim time at which the replay may run
@@ -162,91 +118,57 @@ class AsyncEngine {
     }
   };
 
-  void ensure_spawned();
-  void worker_loop(int self);
-  Item* find_task(int self, std::uint32_t& rng_state);
-  void run_item(Item* item);
-  void park();
-  void wake_one(bool force = false);
-  void wake_all();
-  bool work_available() const;
-  void begin_span(Item* item);
-  bool dispatch(Item* item, bool blocking);
-  bool inject(Item* item, bool blocking);
+  mpiio::IoRequest submit_item(Task task, Completion done, bool supervised);
+  Item* make_item(Task task, std::shared_ptr<mpiio::IoRequest::State> state);
+  bool enqueue(Item* item, bool blocking);
+  void spawn_locked();
+  void wake_locked();
+  void worker_loop();
+  bool run_item(Item* item);         // false: parked for a replay
+  bool handle_failure(Item* item, std::exception_ptr err);
+  void finish(Item* item, std::size_t n, std::exception_ptr err);
   void timer_loop();
-  void finish(Item* item, std::size_t n);
-  void fail_item(Item* item, std::exception_ptr err);
-  void handle_failure(Item* item, std::exception_ptr err);
-  void defer(Item* item, double due);
-  void destroy(Item* item);
-  void task_done(std::uint32_t gen_slot);
-  void await_gen_zero(std::uint32_t slot);
+  void release_locked(int gen_slot);
 
   const int threads_;  // effective worker count (>= 1)
   const bool lazy_;
-  const std::size_t capacity_;  // logical injection-queue capacity
-  const Config::Engine tuning_;
+  const std::size_t capacity_;
   Stats* stats_;
   obs::Tracer* tracer_;
   const Config::Retry retry_;
   Backoff backoff_;
+  std::once_flag shutdown_once_;
 
-  ItemPool pool_;
-  MpmcRing<Item*> inject_;
-  std::atomic<std::int64_t> inject_size_{0};
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::once_flag spawn_once_;
-  std::mutex lifecycle_mu_;
-  bool shut_down_ = false;
+  // Everything below is guarded by mu_.
+  std::mutex mu_;
+  std::condition_variable work_cv_;   // workers: queue_ non-empty or closed_
+  std::condition_variable space_cv_;  // external submitters: room in queue_
+  std::condition_variable timer_cv_;  // timer: new deferral or closed_
+  std::condition_variable drain_cv_;  // drainers: ledger slot hit zero
+  std::deque<Item*> queue_;
+  int idle_ = 0;         // workers blocked on work_cv_
+  bool waking_ = false;  // a work_cv_ notify not yet taken by a worker
+  bool closed_ = false;
 
-  // Submission gate: closed_ refuses new work; submit_gate_ counts
-  // submitters between their closed-check and their push, so shutdown and
-  // the workers' final-exit check can wait out in-flight pushes instead of
-  // stranding an item behind a closed flag.
-  std::atomic<bool> closed_{false};
-  std::atomic<int> submit_gate_{0};
-
-  // Park/wake protocol. sleepers_ is the fast-path gate: producers skip
-  // the mutex entirely while every worker is busy. The Dekker pair
-  // (producer: push, fence, read sleepers_ / worker: bump sleepers_,
-  // fence, re-check queues) makes the park decision lose-proof, and the
-  // condvar+mutex make the actual sleep race-free.
-  std::mutex park_mu_;
-  std::condition_variable park_cv_;
-  std::atomic<int> sleepers_{0};
-  // Wake throttle: number of workers currently inside find_task. A
-  // producer skips the wake when someone is already scanning — the
-  // scanner's park-time re-check (after it leaves this count) is ordered
-  // after the producer's push, so the item cannot be stranded.
-  std::atomic<int> searching_{0};
-
-  // Deferred replays (supervision). The timer thread is spawned on the
-  // first defer — fault-free runs never pay for it.
-  std::mutex defer_mu_;
-  std::condition_variable defer_cv_;
+  // Deferred replays (supervision), re-queued by timer_.
   std::priority_queue<Deferred, std::vector<Deferred>, DeferredLater> deferred_;
-  std::thread timer_;
-  bool timer_spawned_ = false;
-  bool timer_stop_ = false;
 
   // drain()'s snapshot barrier: a two-slot generation ledger instead of a
-  // global completed-count (a global count also counts tasks submitted
-  // AFTER the snapshot, which could satisfy the barrier while a slow
-  // pre-snapshot task was still running). Every dispatch stamps its Item
-  // with the current drain generation and raises that generation's
-  // outstanding counter; the final completion lowers it. drain() — drains
-  // are serialized on drain_serial_mu_ — first waits out the *other* slot
-  // (stragglers from older generations), then flips drain_gen_ and waits
-  // for the snapshot slot to hit zero. New submissions land in the flipped
-  // slot, so they can never satisfy the barrier; the wait is bounded by
-  // work dispatched before the flip. The mutex/condvar pair is only
-  // touched per-completion while a drainer is registered.
-  std::mutex drain_serial_mu_;
-  std::atomic<std::uint64_t> drain_gen_{0};
-  std::atomic<std::int64_t> gen_outstanding_[2] = {{0}, {0}};
-  std::atomic<int> drain_waiters_{0};
-  std::mutex pending_mu_;
-  std::condition_variable pending_cv_;
+  // completed-count (a count also counts tasks submitted AFTER the
+  // snapshot, which could satisfy the barrier while a slow pre-snapshot
+  // task was still running). Each enqueue stamps its Item with drain_gen_
+  // and raises that slot's count; the final completion lowers it. drain()
+  // flips drain_gen_ and waits for the old slot to reach zero; later
+  // submissions land in the new slot and can never satisfy it. Drains run
+  // one at a time (draining_), so the other slot is always zero at a flip.
+  int drain_gen_ = 0;
+  std::int64_t outstanding_[2] = {0, 0};
+  bool draining_ = false;
+
+  // Threads last: they use every member above. The timer thread is
+  // spawned on the first deferral, so fault-free runs never pay for it.
+  std::vector<std::thread> workers_;  // empty until spawned
+  std::thread timer_;
 };
 
 }  // namespace remio::semplar

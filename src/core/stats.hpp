@@ -25,13 +25,6 @@ struct StatsSnapshot {
   std::uint64_t wire_ops = 0;
   double io_busy_sim = 0.0;  // simulated seconds I/O threads spent on tasks
 
-  // Work-stealing engine (all zero for a single lazy worker that never
-  // contends). steals counts tasks executed by a worker other than the one
-  // whose deque they sat in; parks/wakes trace the sleep protocol.
-  std::uint64_t steals = 0;
-  std::uint64_t parks = 0;
-  std::uint64_t wakes = 0;
-
   // Transport supervision (all zero when retries are disabled).
   std::uint64_t reconnects = 0;           // successful re-dials + re-logins
   std::uint64_t replayed_ops = 0;         // ops re-run after transient failure
@@ -70,9 +63,6 @@ class Stats {
     // Atomic add on double via CAS (C++20 fetch_add on atomic<double>).
     io_busy_sim_.fetch_add(sim_seconds, std::memory_order_relaxed);
   }
-  void add_steal() { ++steals_; }
-  void add_park() { ++parks_; }
-  void add_wake() { ++wakes_; }
   void add_reconnect() { ++reconnects_; }
   void add_replayed_op() { ++replayed_ops_; }
   void add_deadline_expiration() { ++deadline_expirations_; }
@@ -96,9 +86,6 @@ class Stats {
     s.queue_peak = queue_peak_.load(std::memory_order_relaxed);
     s.wire_ops = wire_ops_.load(std::memory_order_relaxed);
     s.io_busy_sim = io_busy_sim_.load(std::memory_order_relaxed);
-    s.steals = steals_.load(std::memory_order_relaxed);
-    s.parks = parks_.load(std::memory_order_relaxed);
-    s.wakes = wakes_.load(std::memory_order_relaxed);
     s.reconnects = reconnects_.load(std::memory_order_relaxed);
     s.replayed_ops = replayed_ops_.load(std::memory_order_relaxed);
     s.deadline_expirations =
@@ -130,9 +117,6 @@ class Stats {
   std::atomic<std::uint64_t> queue_peak_{0};
   std::atomic<std::uint64_t> wire_ops_{0};
   std::atomic<double> io_busy_sim_{0.0};
-  std::atomic<std::uint64_t> steals_{0};
-  std::atomic<std::uint64_t> parks_{0};
-  std::atomic<std::uint64_t> wakes_{0};
   std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<std::uint64_t> replayed_ops_{0};
   std::atomic<std::uint64_t> deadline_expirations_{0};

@@ -1,6 +1,6 @@
-// Concurrency tests for the work-stealing AsyncEngine: multi-producer steal
+// Concurrency tests for the FIFO-pool AsyncEngine: multi-producer submit
 // storms, drain() under concurrent submitters, supervised replay migrating
-// across workers, and worker-local (nested) submission routing.
+// across workers, and submissions made from a worker thread.
 //
 // The EngineMatrix suite reads REMIO_ENGINE_THREADS (default 4) so the same
 // binary can be re-registered under different pool sizes — see
@@ -177,17 +177,21 @@ TEST(EngineMatrix, TrySubmitStormNeverBlocksAndNeverLoses) {
 
 TEST(WorkStealingEngine, StealsObservedWithImbalancedLoad) {
   // Deterministic imbalance: one task fans 32 children out from inside a
-  // worker, so they all land on *that worker's* deque. The other three
-  // workers see an empty injection queue and a non-empty sibling deque —
-  // the only way they can participate (and they must, for the fan-out to
-  // finish while its spawner still holds the deque bottom) is stealing.
+  // worker. They all queue behind the spawner; the idle workers must pick
+  // them up (each child sleeps, so one worker alone would serialize them).
   Stats stats;
   AsyncEngine engine(4, 256, &stats);
   std::atomic<int> ran{0};
+  std::mutex tid_mu;
+  std::set<std::thread::id> tids;
   engine
       .submit([&] {
         for (int i = 0; i < 32; ++i)
-          engine.submit([&ran] {
+          engine.submit([&] {
+            {
+              std::lock_guard lk(tid_mu);
+              tids.insert(std::this_thread::get_id());
+            }
             ran.fetch_add(1, std::memory_order_relaxed);
             std::this_thread::sleep_for(std::chrono::milliseconds(2));
             return std::size_t{0};
@@ -199,37 +203,7 @@ TEST(WorkStealingEngine, StealsObservedWithImbalancedLoad) {
   const auto snap = stats.snapshot();
   EXPECT_EQ(ran.load(), 32);
   EXPECT_EQ(snap.async_tasks, 33u);
-  EXPECT_GT(snap.steals, 0u);
-}
-
-TEST(WorkStealingEngine, DegenerateTuningIsClampedStealingStillWorks) {
-  // Directly constructed engines bypass Config validation; the ctor must
-  // clamp the knobs itself. steal_rounds = 0 would silently disable the
-  // steal sweep (this fan-out would then serialize on one worker and the
-  // steal counter would stay 0); negative spin_polls would skip the scan
-  // loop entirely; an oversized inject_batch would overrun find_task's
-  // stack batch buffer if taken at face value.
-  Config::Engine t;
-  t.steal_rounds = 0;
-  t.spin_polls = -5;
-  t.inject_batch = 1 << 20;
-  Stats stats;
-  AsyncEngine engine(4, 256, &stats, {}, nullptr, t);
-  std::atomic<int> ran{0};
-  engine
-      .submit([&] {
-        for (int i = 0; i < 32; ++i)
-          engine.submit([&ran] {
-            ran.fetch_add(1, std::memory_order_relaxed);
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            return std::size_t{0};
-          });
-        return std::size_t{0};
-      })
-      .wait();
-  engine.drain();
-  EXPECT_EQ(ran.load(), 32);
-  EXPECT_GT(stats.snapshot().steals, 0u);
+  EXPECT_GE(tids.size(), 2u);
 }
 
 TEST(WorkStealingEngine, ParkedWorkersWakeOnSubmit) {
@@ -237,21 +211,17 @@ TEST(WorkStealingEngine, ParkedWorkersWakeOnSubmit) {
   AsyncEngine engine(2, 64, &stats);
   engine.submit([] { return std::size_t{0}; }).wait();
   engine.drain();
-  // Idle long enough for both workers to exhaust their spin polls and park.
+  // Idle long enough for both workers to go to sleep on the queue.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  const auto idle = stats.snapshot();
-  EXPECT_GT(idle.parks, 0u);
   auto req = engine.submit([] { return std::size_t{3}; });
   EXPECT_EQ(req.wait(), 3u);
-  EXPECT_GT(stats.snapshot().wakes, 0u);
 }
 
 TEST(WorkStealingEngine, NestedSubmitFromWorkerDoesNotDeadlock) {
   // A task chain that submits its successor from the worker thread, with a
-  // queue capacity far smaller than the chain: worker-local submissions ride
-  // the worker's own (growing) deque, so the single worker can never block
-  // on its own backlog. The mutex-queue engine would deadlock here if the
-  // chain submitted while the queue was full.
+  // queue capacity far smaller than the chain: a worker's own submit goes
+  // past capacity instead of blocking, so the single worker can never block
+  // on its own backlog.
   AsyncEngine engine(1, 2);
   constexpr int kDepth = 100;
   std::atomic<int> ran{0};
@@ -269,9 +239,8 @@ TEST(WorkStealingEngine, NestedSubmitFromWorkerDoesNotDeadlock) {
 }
 
 TEST(WorkStealingEngine, WorkerLocalTrySubmitHonorsCapacity) {
-  // Speculation from a worker is bounded by queue_capacity against its own
-  // deque, mirroring the external limit: a prefetch storm cannot grow the
-  // deque without bound.
+  // Speculation from a worker is bounded by queue_capacity like any other
+  // try_submit: a prefetch storm cannot grow the queue without bound.
   AsyncEngine engine(1, 4);
   std::atomic<int> accepted{0};
   std::atomic<int> rejected{0};
@@ -294,7 +263,7 @@ TEST(WorkStealingEngine, WorkerLocalTrySubmitHonorsCapacity) {
 
 TEST(WorkStealingEngine, SupervisedReplayMigratesAcrossWorkers) {
   // A supervised task fails on worker A, parks for its backoff, and is
-  // re-injected by the timer while worker A is pinned by a hog — so the
+  // re-queued by the timer while worker A is pinned by a hog — so the
   // replay *must* complete on a different worker, and its span bookkeeping
   // must still record exactly one kTask and one kBackoff span.
   simnet::ScopedTimeScale scale(10.0);  // sim 1s == 100ms wall
