@@ -33,8 +33,9 @@
 #include "simnet/timescale.hpp"
 #include "simnet/token_bucket.hpp"
 #include "srb/mcat.hpp"
-#include "srb/mcat_flat.hpp"
 #include "srb/protocol.hpp"
+
+#include "mcat_flat.hpp"  // tests/: the flat-catalog oracle
 
 namespace {
 

@@ -1,10 +1,14 @@
 // SEMPLAR: the SRBFS ADIO driver (§3.2) with the asynchronous extension
-// (§4). Synchronous read_at/write_at use a single blocking stream, exactly
-// like the original SEMPLAR; the asynchronous verbs route through the
-// multi-threaded engine and stripe each request across the file's TCP
-// streams, so transfers on both connections advance simultaneously (§7.2).
+// (§4). Every verb lowers to one extent-list core: read_at/write_at and
+// iread_at/iwrite_at are one-extent calls into readv/writev and
+// ireadv/iwritev. The synchronous verbs run one blocking-supervised
+// transfer on stream 0, exactly like the original SEMPLAR; the asynchronous
+// verbs split the list across the file's TCP streams and run one I/O-thread
+// task per stream, so transfers on both connections advance simultaneously
+// (§7.2). A list of several extents additionally picks a wire strategy
+// (Config::Sieve): naive per-extent round trips, data sieving, or list I/O.
 //
-// With cfg.cache_bytes > 0 every verb additionally routes through the
+// With cfg.cache_bytes > 0 every verb instead routes through the
 // client-side block cache (src/cache): re-reads are served locally,
 // sequential/strided reads trigger speculative read-ahead on the async
 // engine, and small writes coalesce into large write-behind flushes.
@@ -38,29 +42,23 @@ class SemplarFile final : public mpiio::adio::FileHandle,
   std::size_t write_at(std::uint64_t offset, ByteSpan data) override;
   std::uint64_t size() override;
   void flush() override;
-
-  // --- noncontiguous path (ROMIO §data sieving / list I/O) ----------------
-  // Strategy per list (Config::Sieve): naive per-extent round trips, data
-  // sieving (one hull transfer + local scatter/gather, read-modify-write
-  // for writes), or the list-I/O wire verb (many extents per message).
-  // Single-extent lists delegate to the plain verbs so accounting and
-  // tracing are identical either way; with the block cache enabled every
-  // strategy is bypassed in favour of cache-granular access.
   std::size_t readv(const ExtentList& extents, MutByteSpan out) override;
   std::size_t writev(const ExtentList& extents, ByteSpan data) override;
-  mpiio::IoRequest ireadv(const ExtentList& extents, MutByteSpan out) override;
-  mpiio::IoRequest iwritev(const ExtentList& extents, ByteSpan data) override;
 
   // --- asynchronous path (this paper) -------------------------------------
   bool supports_async() const override { return true; }
   mpiio::IoRequest iread_at(std::uint64_t offset, MutByteSpan out) override;
   mpiio::IoRequest iwrite_at(std::uint64_t offset, ByteSpan data) override;
+  mpiio::IoRequest ireadv(const ExtentList& extents, MutByteSpan out) override;
+  mpiio::IoRequest iwritev(const ExtentList& extents, ByteSpan data) override;
 
   /// §9 future work, implemented: redundant read. The same read is issued
   /// on *every* stream of the file; the first stream to deliver wins and
   /// its data is copied into `out`, the stragglers' results are discarded.
   /// Cuts tail latency when streams see variable congestion, at the cost
-  /// of duplicated wire traffic. With one stream it degrades to iread_at.
+  /// of duplicated wire traffic. With one stream it degrades to iread_at;
+  /// with the block cache it *is* iread_at, since the cache holds this
+  /// handle's unflushed writes and a stream read would miss them.
   mpiio::IoRequest iread_redundant(std::uint64_t offset, MutByteSpan out);
 
   const Stats& stats() const { return stats_; }
@@ -91,32 +89,31 @@ class SemplarFile final : public mpiio::adio::FileHandle,
   /// Publishes our dirty data's visibility: bumps the generation after a
   /// flush that wrote anything (and remembers it so we don't self-invalidate).
   void publish_generation();
-  /// Plans a striped transfer: stream s handles chunks s, s+S, s+2S, ...
-  /// of `stripe_size` each, and the whole per-stream series runs as one
-  /// FIFO task so chunks on a stream stay ordered while streams proceed
-  /// in parallel.
-  template <bool IsWrite, class Span>
-  mpiio::IoRequest submit_striped(std::uint64_t offset, Span data);
 
-  /// How a noncontiguous list goes on the wire (Config::Sieve).
+  /// How a list goes on the wire (Config::Sieve). A single extent always
+  /// takes kNaive: it is its own hull, and the plain verb moves it with no
+  /// strategy overhead.
   enum class Strategy { kNaive, kSieve, kList };
   Strategy pick_strategy(const ExtentList& extents) const;
 
-  /// Moves `extents` <-> the packed buffer on one stream using `strategy`.
-  /// `once` selects the single-attempt pool flavours (engine-replayed
-  /// tasks) over the blocking-supervised ones (sync callers). Returns the
-  /// bytes moved; reads stop at the first short extent.
-  template <bool IsWrite, class Span>
+  /// Moves `extents` <-> the packed buffer on one stream using `strategy`,
+  /// one attempt per message (the caller supervises). Returns the bytes
+  /// moved; reads stop at the first short extent.
+  template <bool IsWrite>
   std::size_t transfer_extents(Strategy strategy, int stream,
-                               const ExtentList& extents, Span data,
-                               bool once);
+                               const ExtentList& extents, IoSpan<IsWrite> data);
 
-  /// Async flavour of the strategy transfer: partitions the list count-
-  /// evenly across the file's streams, one supervised engine task per
-  /// stream, joined into one master request (same StripeJoin bookkeeping
-  /// as submit_striped).
-  template <bool IsWrite, class Span>
-  mpiio::IoRequest submit_extents(const ExtentList& extents, Span data);
+  /// The synchronous verbs: the cache, or one blocking-supervised transfer
+  /// on stream 0; one kSyncRead/kSyncWrite span and the sync stats.
+  template <bool IsWrite>
+  std::size_t run_sync(const ExtentList& extents, IoSpan<IsWrite> data);
+
+  /// The asynchronous verbs: with the cache, one engine task through it;
+  /// otherwise the list is partitioned across the streams (see partition()
+  /// in srbfs.cpp), one supervised engine task per stream, joined into one
+  /// master request.
+  template <bool IsWrite>
+  mpiio::IoRequest submit(const ExtentList& extents, IoSpan<IsWrite> data);
 
   Config cfg_;
   Stats stats_;

@@ -182,52 +182,28 @@ auto StreamPool::once(int requested, Fn&& fn) {
       "no usable stream after re-striping: " + path_);
 }
 
-template <class Fn>
-auto StreamPool::supervised(Fn&& fn) {
-  if (!cfg_.retry.enabled()) return fn();
-  const double start = simnet::sim_now();
-  for (int attempt = 0;; ++attempt) {
-    try {
-      return fn();
-    } catch (...) {
-      const std::exception_ptr eptr = std::current_exception();
-      const remio::Status st = remio::status_from_exception(eptr);
-      if (!st.retryable() || attempt + 1 >= cfg_.retry.max_attempts)
-        std::rethrow_exception(eptr);
-      const double delay = backoff_.delay(attempt);
-      if (cfg_.retry.op_deadline > 0.0 &&
-          simnet::sim_now() - start + delay > cfg_.retry.op_deadline) {
-        if (stats_ != nullptr) stats_->add_deadline_expiration();
-        throw mpiio::IoError(
-            {remio::ErrorDomain::kDeadline, 0, /*retryable=*/false,
-             "supervise"},
-            "op deadline (" + std::to_string(cfg_.retry.op_deadline) +
-                "s sim) exceeded after " + std::to_string(attempt + 1) +
-                " attempts: " + st.message());
-      }
-      if (stats_ != nullptr) {
-        stats_->add_backoff(delay);
-        stats_->add_replayed_op();
-        if (st.domain() == remio::ErrorDomain::kIntegrity)
-          stats_->add_integrity_retry();
-      }
-      simnet::sleep_sim(delay);
-    }
+void StreamPool::backoff_or_rethrow(std::exception_ptr err, int attempt,
+                                    double start) {
+  const remio::Status st = remio::status_from_exception(err);
+  if (!st.retryable() || attempt + 1 >= cfg_.retry.max_attempts)
+    std::rethrow_exception(err);
+  const double delay = backoff_.delay(attempt);
+  if (cfg_.retry.op_deadline > 0.0 &&
+      simnet::sim_now() - start + delay > cfg_.retry.op_deadline) {
+    if (stats_ != nullptr) stats_->add_deadline_expiration();
+    throw mpiio::IoError(
+        {remio::ErrorDomain::kDeadline, 0, /*retryable=*/false, "supervise"},
+        "op deadline (" + std::to_string(cfg_.retry.op_deadline) +
+            "s sim) exceeded after " + std::to_string(attempt + 1) +
+            " attempts: " + st.message());
   }
-}
-
-std::size_t StreamPool::pread(int stream, MutByteSpan out,
-                              std::uint64_t offset) {
-  return supervised([&] { return pread_once(stream, out, offset); });
-}
-
-std::size_t StreamPool::pwrite(int stream, ByteSpan data,
-                               std::uint64_t offset) {
-  return supervised([&] { return pwrite_once(stream, data, offset); });
-}
-
-std::uint64_t StreamPool::stat_size() {
-  return supervised([&] { return stat_size_once(); });
+  if (stats_ != nullptr) {
+    stats_->add_backoff(delay);
+    stats_->add_replayed_op();
+    if (st.domain() == remio::ErrorDomain::kIntegrity)
+      stats_->add_integrity_retry();
+  }
+  simnet::sleep_sim(delay);
 }
 
 namespace {
@@ -272,10 +248,6 @@ class WireTrace {
   std::uint64_t bytes_ = 0;
 };
 
-}  // namespace
-
-namespace {
-
 /// Protocol messages a chunked plain verb issues for `len` bytes (the
 /// SrbClient pread/pwrite loops send one message per kMaxIoChunk).
 std::uint64_t chunk_messages(std::size_t len) {
@@ -285,146 +257,85 @@ std::uint64_t chunk_messages(std::size_t len) {
 
 }  // namespace
 
-std::size_t StreamPool::pread_once(int stream, MutByteSpan out,
-                                   std::uint64_t offset) {
-  return once(stream, [&](srb::SrbClient& c, std::int32_t fd, int idx) {
-    WireTrace wt(tracer_, idx);
-    const std::size_t n = c.pread(fd, out, offset);
-    wt.set_bytes(n);
-    if (stats_ != nullptr) stats_->add_wire_ops(chunk_messages(out.size()));
-    return n;
-  });
-}
-
-std::size_t StreamPool::pwrite_once(int stream, ByteSpan data,
-                                    std::uint64_t offset) {
-  return once(stream, [&](srb::SrbClient& c, std::int32_t fd, int idx) {
-    WireTrace wt(tracer_, idx);
-    const std::size_t n = c.pwrite(fd, data, offset);
-    wt.set_bytes(n);
-    if (stats_ != nullptr) stats_->add_wire_ops(chunk_messages(data.size()));
-    return n;
-  });
-}
-
-std::uint64_t StreamPool::stat_size_once() {
-  return once(0, [&](srb::SrbClient& c, std::int32_t, int idx) {
-    WireTrace wt(tracer_, idx);
-    const auto st = c.stat(path_);
-    if (stats_ != nullptr) stats_->add_wire_ops(1);
-    return st ? st->size : std::uint64_t{0};
-  });
-}
-
-std::size_t StreamPool::preadv(int stream, const ExtentList& extents,
-                               MutByteSpan out) {
-  return supervised([&] { return preadv_once(stream, extents, out); });
-}
-
-std::size_t StreamPool::pwritev(int stream, const ExtentList& extents,
-                                ByteSpan data) {
-  return supervised([&] { return pwritev_once(stream, extents, data); });
-}
-
-std::size_t StreamPool::preadv_once(int stream, const ExtentList& extents,
-                                    MutByteSpan out) {
-  const std::size_t max_bytes = srb::SrbClient::kMaxIoChunk;
+template <bool IsWrite>
+std::size_t StreamPool::transfer(int stream, const ExtentList& extents,
+                                 IoSpan<IsWrite> data, Verb verb) {
+  constexpr std::size_t kChunk = srb::SrbClient::kMaxIoChunk;
   std::uint32_t max_ext = cfg_.sieve.max_extents_per_msg;
   if (max_ext == 0 || max_ext > srb::kMaxListExtents)
     max_ext = srb::kMaxListExtents;
 
   std::size_t total = 0;
   std::size_t packed = 0;  // position in the packed buffer
-  std::size_t i = 0;
-  while (i < extents.size()) {
-    if (extents[i].len > max_bytes) {
-      // Oversized extent: the plain chunked verb moves it just as well.
-      const std::size_t want = static_cast<std::size_t>(extents[i].len);
-      const std::size_t n =
-          once(stream, [&](srb::SrbClient& c, std::int32_t fd, int idx) {
-            WireTrace wt(tracer_, idx);
-            const std::size_t m =
-                c.pread(fd, out.subspan(packed, want), extents[i].offset);
-            wt.set_bytes(m);
-            if (stats_ != nullptr) stats_->add_wire_ops(chunk_messages(want));
-            return m;
-          });
-      total += n;
-      packed += want;
-      ++i;
-      if (n < want) break;  // past EOF; sorted list ⇒ the rest is too
-      continue;
-    }
-    std::size_t j = i;
-    std::size_t bytes = 0;
-    while (j < extents.size() && j - i < max_ext &&
-           extents[j].len <= max_bytes && bytes + extents[j].len <= max_bytes) {
+  for (std::size_t i = 0, j = 0; i < extents.size(); i = j) {
+    // One message: extents [i, j) as a list batch, or extent i alone on
+    // the plain chunked verb.
+    std::size_t bytes = static_cast<std::size_t>(extents[i].len);
+    const bool batch = verb == Verb::kList && bytes <= kChunk;
+    for (j = i + 1; batch && j < extents.size() && j - i < max_ext &&
+                    extents[j].len <= kChunk - bytes;
+         ++j)
       bytes += static_cast<std::size_t>(extents[j].len);
-      ++j;
-    }
-    const ExtentList batch(extents.begin() + static_cast<std::ptrdiff_t>(i),
-                           extents.begin() + static_cast<std::ptrdiff_t>(j));
+    ExtentList msg;
+    if (batch)
+      msg.assign(extents.begin() + static_cast<std::ptrdiff_t>(i),
+                 extents.begin() + static_cast<std::ptrdiff_t>(j));
+    const IoSpan<IsWrite> part = data.subspan(packed, bytes);
     const std::size_t n =
         once(stream, [&](srb::SrbClient& c, std::int32_t fd, int idx) {
           WireTrace wt(tracer_, idx);
-          const std::size_t m = c.preadv(fd, batch, out.subspan(packed, bytes));
+          std::size_t m = 0;
+          if constexpr (IsWrite) {
+            m = batch ? c.pwritev(fd, msg, part)
+                      : c.pwrite(fd, part, extents[i].offset);
+          } else {
+            m = batch ? c.preadv(fd, msg, part)
+                      : c.pread(fd, part, extents[i].offset);
+          }
           wt.set_bytes(m);
-          if (stats_ != nullptr) stats_->add_wire_ops(1);
+          if (stats_ != nullptr)
+            stats_->add_wire_ops(batch ? 1 : chunk_messages(bytes));
           return m;
         });
     total += n;
     packed += bytes;
-    i = j;
-    if (n < bytes) break;
+    if constexpr (!IsWrite) {
+      if (n < bytes) break;  // past EOF; sorted list => the rest is too
+    }
   }
   return total;
 }
 
-std::size_t StreamPool::pwritev_once(int stream, const ExtentList& extents,
-                                     ByteSpan data) {
-  const std::size_t max_bytes = srb::SrbClient::kMaxIoChunk;
-  std::uint32_t max_ext = cfg_.sieve.max_extents_per_msg;
-  if (max_ext == 0 || max_ext > srb::kMaxListExtents)
-    max_ext = srb::kMaxListExtents;
+template std::size_t StreamPool::transfer<false>(int, const ExtentList&,
+                                                 MutByteSpan, Verb);
+template std::size_t StreamPool::transfer<true>(int, const ExtentList&,
+                                                ByteSpan, Verb);
 
-  std::size_t total = 0;
-  std::size_t packed = 0;
-  std::size_t i = 0;
-  while (i < extents.size()) {
-    if (extents[i].len > max_bytes) {
-      const std::size_t want = static_cast<std::size_t>(extents[i].len);
-      total += once(stream, [&](srb::SrbClient& c, std::int32_t fd, int idx) {
-        WireTrace wt(tracer_, idx);
-        const std::size_t m =
-            c.pwrite(fd, data.subspan(packed, want), extents[i].offset);
-        wt.set_bytes(m);
-        if (stats_ != nullptr) stats_->add_wire_ops(chunk_messages(want));
-        return m;
-      });
-      packed += want;
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    std::size_t bytes = 0;
-    while (j < extents.size() && j - i < max_ext &&
-           extents[j].len <= max_bytes && bytes + extents[j].len <= max_bytes) {
-      bytes += static_cast<std::size_t>(extents[j].len);
-      ++j;
-    }
-    const ExtentList batch(extents.begin() + static_cast<std::ptrdiff_t>(i),
-                           extents.begin() + static_cast<std::ptrdiff_t>(j));
-    total += once(stream, [&](srb::SrbClient& c, std::int32_t fd, int idx) {
+std::size_t StreamPool::pread(int stream, MutByteSpan out,
+                              std::uint64_t offset) {
+  return supervised([&] {
+    return transfer<false>(stream, {Extent{offset, out.size()}}, out,
+                           Verb::kPlain);
+  });
+}
+
+std::size_t StreamPool::pwrite(int stream, ByteSpan data,
+                               std::uint64_t offset) {
+  return supervised([&] {
+    return transfer<true>(stream, {Extent{offset, data.size()}}, data,
+                          Verb::kPlain);
+  });
+}
+
+std::uint64_t StreamPool::stat_size() {
+  return supervised([&] {
+    return once(0, [&](srb::SrbClient& c, std::int32_t, int idx) {
       WireTrace wt(tracer_, idx);
-      const std::size_t m = c.pwritev(fd, batch, data.subspan(packed, bytes));
-      wt.set_bytes(m);
+      const auto st = c.stat(path_);
       if (stats_ != nullptr) stats_->add_wire_ops(1);
-      return m;
+      return st ? st->size : std::uint64_t{0};
     });
-    packed += bytes;
-    i = j;
-  }
-  return total;
+  });
 }
 
 srb::Generation StreamPool::read_generation() {

@@ -12,21 +12,23 @@
 // re-striped onto the survivors. All supervised ops are offset-addressed
 // (pread/pwrite/stat), so replaying one after a reconnect is idempotent.
 //
-// Two op flavours:
-//   * pread/pwrite/stat_size — blocking supervision: retry with capped,
-//     jittered exponential backoff in the calling thread (the synchronous
-//     verbs and the cache backend use these);
-//   * pread_once/pwrite_once/stat_size_once — exactly one attempt (plus
-//     eager repair / dead-stream re-routing); AsyncEngine replays these
-//     through its non-stalling deferred queue (core/async_engine.hpp).
-// With retries disabled (the default) both flavours are the paper's
-// fail-fast single attempt on the requested stream.
+// One transfer path: every data transfer is an extent list moved by
+// transfer(), which sends each message as exactly one attempt (plus eager
+// repair / dead-stream re-routing). Retrying is the caller's choice, made
+// once per request: synchronous callers wrap the whole attempt in
+// supervised() (blocking backoff in the calling thread); engine tasks run
+// it bare and AsyncEngine::submit_supervised replays it through its
+// non-stalling deferred queue (core/async_engine.hpp). With retries
+// disabled (the default) both are the paper's fail-fast single attempt on
+// the requested stream.
 #pragma once
 
 #include <atomic>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/extent.hpp"
@@ -34,10 +36,15 @@
 #include "core/stats.hpp"
 #include "core/supervisor.hpp"
 #include "obs/tracer.hpp"
+#include "simnet/timescale.hpp"
 #include "srb/client.hpp"
 #include "srb/generation.hpp"
 
 namespace remio::semplar {
+
+/// The packed-buffer span a transfer moves: read into, or write from.
+template <bool IsWrite>
+using IoSpan = std::conditional_t<IsWrite, ByteSpan, MutByteSpan>;
 
 class StreamPool {
  public:
@@ -58,26 +65,44 @@ class StreamPool {
   /// Streams not declared dead (== count() until a degradation happens).
   int alive_count() const;
 
-  // Blocking-supervised ops (see file comment).
+  /// How transfer() frames a list on the wire.
+  enum class Verb {
+    kPlain,  // kObjRead/kObjWrite per extent, chunked at kMaxIoChunk
+    kList,   // kObjReadList/kObjWriteList batches of up to
+             // Config::Sieve::max_extents_per_msg extents and kMaxIoChunk
+             // bytes; an extent past the chunk cap goes plain, since list
+             // framing buys it nothing
+  };
+
+  /// Moves a sorted, disjoint extent list to/from the packed buffer on
+  /// `stream`, one attempt per message (see file comment). Returns the
+  /// bytes moved; a read stops at the first short message (past EOF).
+  template <bool IsWrite>
+  std::size_t transfer(int stream, const ExtentList& extents,
+                       IoSpan<IsWrite> data, Verb verb);
+
+  /// Blocking supervision: runs `attempt` (any sequence of single-attempt
+  /// pool ops) and, with retries enabled, replays it whole after a capped,
+  /// jittered backoff until it succeeds, fails terminally, runs out of
+  /// attempts or passes Config::Retry::op_deadline.
+  template <class Fn>
+  auto supervised(Fn&& attempt) {
+    if (!cfg_.retry.enabled()) return attempt();
+    const double start = simnet::sim_now();
+    for (int n = 0;; ++n) {
+      try {
+        return attempt();
+      } catch (...) {
+        backoff_or_rethrow(std::current_exception(), n, start);
+      }
+    }
+  }
+
+  /// One-extent plain transfers under blocking supervision (the cache
+  /// backend and the redundant read use these), and the object's size.
   std::size_t pread(int stream, MutByteSpan out, std::uint64_t offset);
   std::size_t pwrite(int stream, ByteSpan data, std::uint64_t offset);
   std::uint64_t stat_size();
-
-  // Single-attempt ops for engine-level replay.
-  std::size_t pread_once(int stream, MutByteSpan out, std::uint64_t offset);
-  std::size_t pwrite_once(int stream, ByteSpan data, std::uint64_t offset);
-  std::uint64_t stat_size_once();
-
-  // List I/O: a sorted, disjoint extent list against a packed buffer. The
-  // pool batches the list into kObjReadList/kObjWriteList messages bounded
-  // by Config::Sieve::max_extents_per_msg and SrbClient::kMaxIoChunk data
-  // bytes each (an extent larger than the chunk cap goes through the plain
-  // chunked verb instead — list framing buys it nothing). Offset-addressed
-  // and therefore idempotent, like every supervised op here.
-  std::size_t preadv(int stream, const ExtentList& extents, MutByteSpan out);
-  std::size_t pwritev(int stream, const ExtentList& extents, ByteSpan data);
-  std::size_t preadv_once(int stream, const ExtentList& extents, MutByteSpan out);
-  std::size_t pwritev_once(int stream, const ExtentList& extents, ByteSpan data);
 
   /// Coherence-generation side channel, supervised like any other op: a
   /// corrupted or dropped attribute round trip is retried (when retries are
@@ -126,8 +151,9 @@ class StreamPool {
   void note_failure(int idx, const std::shared_ptr<srb::SrbClient>& failed);
   template <class Fn>
   auto once(int requested, Fn&& fn);
-  template <class Fn>
-  auto supervised(Fn&& fn);
+  /// supervised()'s failure arm: rethrows terminal failures, otherwise
+  /// charges and sleeps the backoff before attempt `attempt` + 1.
+  void backoff_or_rethrow(std::exception_ptr err, int attempt, double start);
 
   simnet::Fabric& fabric_;
   Config cfg_;

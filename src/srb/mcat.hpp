@@ -16,7 +16,7 @@
 // order, making cross-stripe deadlock impossible.
 //
 // Semantics are identical to the original single-mutex catalog
-// (src/srb/mcat_flat.hpp keeps that implementation as the test oracle):
+// (tests/mcat_flat.hpp keeps that implementation as the test oracle):
 // object ids come from one global counter and are allocated only on a
 // successful register, so single-threaded runs are bit-equal to the flat
 // reference. list() locks one segment at a time — it is a consistent

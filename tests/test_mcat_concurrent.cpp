@@ -1,6 +1,6 @@
 // Concurrent MCAT battery: randomized multi-thread
 // register/resolve/unregister/set_attr/list storms checked against the
-// single-mutex FlatMcat reference (src/srb/mcat_flat.hpp). Deliberately
+// single-mutex FlatMcat reference (tests/mcat_flat.hpp). Deliberately
 // NOT timing-labelled so the TSan CI lane runs every storm — this suite is
 // the pin that the lock-striped catalog refactor must pass unchanged.
 //
@@ -24,7 +24,7 @@
 
 #include "common/rng.hpp"
 #include "srb/mcat.hpp"
-#include "srb/mcat_flat.hpp"
+#include "mcat_flat.hpp"
 
 namespace remio::srb {
 namespace {

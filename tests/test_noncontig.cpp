@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 
 #include "chaos.hpp"
 #include "common/rng.hpp"
@@ -289,50 +290,78 @@ TEST_F(NoncontigTest, SieveWritePreservesHoleBytes) {
 // --- accounting parity -----------------------------------------------------
 
 TEST_F(NoncontigTest, SingleExtentReadvAccountsExactlyLikeReadAt) {
-  Config cfg = base_config();
-  cfg.obs.enabled = true;
-  cfg.sieve.enabled = true;  // must not matter for a 1-extent list
-  SemplarFile f(fabric_, cfg, "/parity/obj",
-                mpiio::kModeRead | mpiio::kModeWrite | mpiio::kModeCreate |
-                    mpiio::kModeTrunc);
-  const Bytes image = Rng(31).bytes(32 * 1024);
-  f.write_at(0, ByteSpan(image.data(), image.size()));
-
+  // Each plain verb is a one-extent call into its vectored twin. For read
+  // and write, sync and async, on one and two streams, the pair must agree
+  // on bytes, StatsSnapshot counts, wire ops and the kinds of spans traced.
   struct Delta {
-    std::uint64_t sync, reads, wire;
-    std::size_t spans_sync_read, spans_sieve, spans_list;
+    std::size_t moved = 0;
+    std::vector<std::uint64_t> counts;
+    std::map<obs::SpanKind, std::size_t> spans;
   };
-  const auto measure = [&](auto&& op) {
-    const StatsSnapshot s0 = f.stats().snapshot();
-    const std::size_t spans0 = f.tracer()->snapshot().size();
-    op();
-    const StatsSnapshot s1 = f.stats().snapshot();
-    Delta d{};
-    d.sync = s1.sync_calls - s0.sync_calls;
-    d.reads = s1.bytes_read - s0.bytes_read;
-    d.wire = s1.wire_ops - s0.wire_ops;
-    const auto spans = f.tracer()->snapshot();
-    for (std::size_t i = spans0; i < spans.size(); ++i) {
-      if (spans[i].kind == obs::SpanKind::kSyncRead) ++d.spans_sync_read;
-      if (spans[i].kind == obs::SpanKind::kSieve) ++d.spans_sieve;
-      if (spans[i].kind == obs::SpanKind::kListIo) ++d.spans_list;
+  for (const bool write : {false, true}) {
+    for (const bool async : {false, true}) {
+      for (const int streams : {1, 2}) {
+        SCOPED_TRACE(std::string(write ? "write" : "read") +
+                     (async ? " async" : " sync") + " streams=" +
+                     std::to_string(streams));
+        Config cfg = base_config();
+        cfg.obs.enabled = true;
+        cfg.sieve.enabled = true;  // must not matter for a 1-extent list
+        cfg.streams_per_node = streams;
+        SemplarFile f(fabric_, cfg, "/parity/obj",
+                      mpiio::kModeRead | mpiio::kModeWrite |
+                          mpiio::kModeCreate | mpiio::kModeTrunc);
+        const Bytes image = Rng(31).bytes(32 * 1024);
+        f.write_at(0, ByteSpan(image.data(), image.size()));
+
+        const auto measure = [&](auto&& op) {
+          const StatsSnapshot s0 = f.stats().snapshot();
+          const std::size_t spans0 = f.tracer()->snapshot().size();
+          Delta d;
+          d.moved = op();
+          const StatsSnapshot s1 = f.stats().snapshot();
+          d.counts = {s1.bytes_written - s0.bytes_written,
+                      s1.bytes_read - s0.bytes_read,
+                      s1.async_tasks - s0.async_tasks,
+                      s1.sync_calls - s0.sync_calls,
+                      s1.wire_ops - s0.wire_ops,
+                      s1.replayed_ops - s0.replayed_ops,
+                      s1.reconnects - s0.reconnects};
+          const auto spans = f.tracer()->snapshot();
+          for (std::size_t i = spans0; i < spans.size(); ++i)
+            ++d.spans[spans[i].kind];
+          return d;
+        };
+
+        constexpr std::uint64_t kOff = 512;
+        Bytes a(1024), b(1024);
+        const Bytes payload = Rng(32).bytes(a.size());
+        const auto run = [&](Bytes& buf, bool vectored) {
+          const ExtentList one = {{kOff, buf.size()}};
+          const MutByteSpan out(buf.data(), buf.size());
+          const ByteSpan in(payload.data(), payload.size());
+          if (write && async)
+            return vectored ? f.iwritev(one, in).wait()
+                            : f.iwrite_at(kOff, in).wait();
+          if (write) return vectored ? f.writev(one, in) : f.write_at(kOff, in);
+          if (async)
+            return vectored ? f.ireadv(one, out).wait()
+                            : f.iread_at(kOff, out).wait();
+          return vectored ? f.readv(one, out) : f.read_at(kOff, out);
+        };
+        const Delta plain = measure([&] { return run(a, false); });
+        const Delta vec = measure([&] { return run(b, true); });
+
+        EXPECT_EQ(plain.moved, a.size());
+        EXPECT_EQ(plain.moved, vec.moved);
+        EXPECT_EQ(a, b);
+        EXPECT_EQ(plain.counts, vec.counts);
+        EXPECT_EQ(plain.spans, vec.spans);
+        EXPECT_EQ(vec.spans.count(obs::SpanKind::kSieve), 0u);  // plain verb
+        EXPECT_EQ(vec.spans.count(obs::SpanKind::kListIo), 0u);
+      }
     }
-    return d;
-  };
-
-  Bytes a(1024), b(1024);
-  const Delta plain =
-      measure([&] { f.read_at(512, MutByteSpan(a.data(), a.size())); });
-  const Delta vec = measure(
-      [&] { f.readv({{512, 1024}}, MutByteSpan(b.data(), b.size())); });
-
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(plain.sync, vec.sync);
-  EXPECT_EQ(plain.reads, vec.reads);
-  EXPECT_EQ(plain.wire, vec.wire);
-  EXPECT_EQ(plain.spans_sync_read, vec.spans_sync_read);
-  EXPECT_EQ(vec.spans_sieve, 0u);   // delegation: no strategy span
-  EXPECT_EQ(vec.spans_list, 0u);
+  }
 }
 
 // --- randomized property: strategies x cache vs a flat model ---------------

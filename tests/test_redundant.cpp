@@ -1,6 +1,7 @@
 // Redundant-read tests (§9 future work, implemented): correctness with 1..4
-// streams, short reads at EOF, all-streams-failed error propagation, and
-// the data-integrity invariant that losers never touch the caller's buffer.
+// streams, short reads at EOF, all-streams-failed error propagation, the
+// data-integrity invariant that losers never touch the caller's buffer, and
+// coherence with the block cache's unflushed writes.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -26,12 +27,15 @@ class RedundantReadTest : public ::testing::Test {
   }
 
   std::unique_ptr<SemplarFile> open_file(int streams, const std::string& path,
-                                         std::uint32_t mode) {
+                                         std::uint32_t mode,
+                                         std::size_t cache_bytes = 0) {
     Config cfg;
     cfg.client_host = "node0";
     cfg.streams_per_node = streams;
     cfg.io_threads = streams;  // parallel racers need parallel threads
     cfg.conn.tcp_window = 0;
+    cfg.cache_bytes = cache_bytes;
+    if (cache_bytes > 0) cfg.writeback_hwm = cache_bytes / 4;
     return std::make_unique<SemplarFile>(fabric_, cfg, path, mode);
   }
 
@@ -116,6 +120,29 @@ TEST_F(RedundantReadTest, WireTrafficIsDuplicated) {
   f->flush();  // both racers done
   // Both streams carried the payload: total received >= 2x the data.
   EXPECT_GE(f->streams().wire_bytes_received(), 2 * data.size());
+}
+
+TEST_F(RedundantReadTest, CachedHandleSeesItsOwnUnflushedWrite) {
+  // Write-behind keeps the second write in the cache; a redundant read must
+  // return it, like read_at does, not the flushed pre-image on the broker.
+  auto f = open_file(2, "/red/cached",
+                     mpiio::kModeRead | mpiio::kModeWrite | mpiio::kModeCreate,
+                     /*cache_bytes=*/4u << 20);
+  const Bytes old_data(64 * 1024, 'o');
+  const Bytes new_data(64 * 1024, 'n');
+  f->write_at(0, ByteSpan(old_data.data(), old_data.size()));
+  f->flush();
+  f->write_at(0, ByteSpan(new_data.data(), new_data.size()));
+
+  Bytes plain(new_data.size());
+  EXPECT_EQ(f->read_at(0, MutByteSpan(plain.data(), plain.size())),
+            new_data.size());
+  EXPECT_EQ(plain, new_data);
+  Bytes raced(new_data.size());
+  EXPECT_EQ(
+      f->iread_redundant(0, MutByteSpan(raced.data(), raced.size())).wait(),
+      new_data.size());
+  EXPECT_EQ(raced, new_data);
 }
 
 }  // namespace
