@@ -2,13 +2,35 @@
 
 #include <algorithm>
 
+#include "common/bytes.hpp"
+
 namespace remio::simnet {
 
 namespace {
 bool tag_matches(const std::string& tag, const std::string& needle) {
   return needle.empty() || tag.find(needle) != std::string::npos;
 }
+
+std::uint64_t splitmix64(std::uint64_t z) {
+  z += 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// Uniform double in [0, 1) from 64 random bits.
+double unit(std::uint64_t x) {
+  return static_cast<double>(x >> 11) * 0x1.0p-53;
+}
 }  // namespace
+
+std::uint64_t FaultInjector::draw_locked(const std::string& tag, Kind kind) {
+  const std::uint64_t k = draws_[tag][kind]++;
+  const std::uint64_t stream =
+      splitmix64(splitmix64(seed_ ^ fnv1a(ByteSpan(tag.data(), tag.size()))) ^
+                 kind);
+  return splitmix64(stream ^ k);
+}
 
 void FaultInjector::set_drop_probability(double p) {
   std::lock_guard lk(mu_);
@@ -67,7 +89,8 @@ void FaultInjector::unban(const std::string& tag_substr) {
 
 void FaultInjector::seed(std::uint64_t s) {
   std::lock_guard lk(mu_);
-  rng_ = Rng(s);
+  seed_ = s;
+  draws_.clear();
 }
 
 std::uint64_t FaultInjector::drops() const {
@@ -103,7 +126,8 @@ bool FaultInjector::fail_connect(const std::string& tag) {
       return true;
     }
   }
-  if (connect_fail_p_ > 0 && rng_.chance(connect_fail_p_)) {
+  if (connect_fail_p_ > 0 &&
+      unit(draw_locked(tag, kConnect)) < connect_fail_p_) {
     ++refused_;
     return true;
   }
@@ -117,27 +141,29 @@ bool FaultInjector::drop_send(const std::string& tag) {
     ++drops_;
     return true;
   }
-  if (drop_p_ > 0 && rng_.chance(drop_p_)) {
+  if (drop_p_ > 0 && unit(draw_locked(tag, kDrop)) < drop_p_) {
     ++drops_;
     return true;
   }
   return false;
 }
 
-bool FaultInjector::corrupt_send(const std::string& tag, std::uint64_t nbits,
-                                 std::uint64_t& bit) {
+bool FaultInjector::corrupt_send(const std::string& tag, bool server_end,
+                                 std::uint64_t nbits, std::uint64_t& bit) {
   std::lock_guard lk(mu_);
   if (corrupt_p_ <= 0 || nbits == 0 || !tag_matches(tag, corrupt_tag_))
     return false;
-  if (!rng_.chance(corrupt_p_)) return false;
-  bit = rng_.next() % nbits;
+  const std::uint64_t d =
+      draw_locked(tag, server_end ? kCorruptServer : kCorruptClient);
+  if (unit(d) >= corrupt_p_) return false;
+  bit = splitmix64(d) % nbits;
   ++corruptions_;
   return true;
 }
 
-double FaultInjector::latency_penalty() {
+double FaultInjector::latency_penalty(const std::string& tag) {
   std::lock_guard lk(mu_);
-  if (spike_p_ > 0 && rng_.chance(spike_p_)) {
+  if (spike_p_ > 0 && unit(draw_locked(tag, kSpike)) < spike_p_) {
     ++spikes_;
     return spike_s_;
   }

@@ -21,16 +21,22 @@
 // Tags: SrbClient dials with its client name as the connection tag
 // (e.g. "semplar/node0/s1"), so `arm_kill("s1")` / `ban("s1")` target one
 // stream of one node by substring match.
+//
+// Decisions are counter-based: the verdict for the k-th draw of one fault
+// kind on one tag (and, for bit flips, one end of the connection) is a pure
+// function of (seed, tag, kind, k). Which I/O thread reaches the injector
+// first therefore never moves a fault from one stream to another, and a
+// seed replays a run whenever each stream's own send order is fixed.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
-
-#include "common/rng.hpp"
 
 namespace remio::simnet {
 
@@ -57,6 +63,7 @@ class FaultInjector {
   /// Refuses every dial whose tag contains `tag_substr` until unban().
   void ban(const std::string& tag_substr);
   void unban(const std::string& tag_substr);
+  /// Reseeds every decision sequence and restarts its counters.
   void seed(std::uint64_t s);
 
   // --- observability -------------------------------------------------------
@@ -74,16 +81,29 @@ class FaultInjector {
   /// True when the connection must die before this send.
   bool drop_send(const std::string& tag);
   /// Extra one-way stall for this send, in simulated seconds (usually 0).
-  double latency_penalty();
+  double latency_penalty(const std::string& tag);
   /// True when this send must be corrupted; `bit` receives the flip
   /// position, uniform in [0, nbits). The socket maps it past the length
-  /// prefix so framing survives (see socket.cpp).
-  bool corrupt_send(const std::string& tag, std::uint64_t nbits,
-                    std::uint64_t& bit);
+  /// prefix so framing survives (see socket.cpp). `server_end` selects the
+  /// response direction's own decision sequence.
+  bool corrupt_send(const std::string& tag, bool server_end,
+                    std::uint64_t nbits, std::uint64_t& bit);
 
  private:
+  enum Kind : std::size_t {
+    kConnect,
+    kDrop,
+    kSpike,
+    kCorruptClient,
+    kCorruptServer,
+    kKinds
+  };
+  /// Next draw of `kind` on `tag`, uniform over 64 bits.
+  std::uint64_t draw_locked(const std::string& tag, Kind kind);
+
   mutable std::mutex mu_;
-  Rng rng_{0x7a017a01u};
+  std::uint64_t seed_ = 0x7a017a01u;
+  std::map<std::string, std::array<std::uint64_t, kKinds>> draws_;
   double drop_p_ = 0.0;
   double connect_fail_p_ = 0.0;
   double spike_p_ = 0.0;

@@ -91,7 +91,7 @@ void Socket::send_all(ByteSpan data) {
   Bytes mangled;  // only materialized when a corruption fires
   if (fault_ != nullptr) {
     if (!fault_corrupt_only_) {
-      const double spike = fault_->latency_penalty();
+      const double spike = fault_->latency_penalty(tag_);
       if (spike > 0) sleep_sim(spike);
       if (fault_->drop_send(tag_)) {
         close();
@@ -107,7 +107,8 @@ void Socket::send_all(ByteSpan data) {
     // in phase and only the content arrives wrong.
     std::uint64_t bit = 0;
     if (data.size() > 4 &&
-        fault_->corrupt_send(tag_, (data.size() - 4) * 8, bit)) {
+        fault_->corrupt_send(tag_, fault_corrupt_only_, (data.size() - 4) * 8,
+                             bit)) {
       mangled.assign(data.begin(), data.end());
       mangled[4 + static_cast<std::size_t>(bit / 8)] ^=
           static_cast<char>(1u << (bit % 8));

@@ -31,8 +31,9 @@ void TokenBucket::set_contention(double penalty, double window_sim) {
 double TokenBucket::effective_rate_locked(double now_sim) const {
   if (contention_penalty_ >= 1.0) return rate_;
   int active = 0;
-  for (double seen : last_seen_)
-    if (now_sim - seen <= contention_window_) ++active;
+  for (int c = 0; c < kMaxClasses; ++c)
+    if (queued_[c] > 0 || now_sim - last_seen_[c] <= contention_window_)
+      ++active;
   return active >= 2 ? rate_ * contention_penalty_ : rate_;
 }
 
@@ -50,29 +51,37 @@ void TokenBucket::acquire(std::uint64_t n, int traffic_class) {
   std::unique_lock lk(mu_);
   // Requests larger than the burst are consumed in burst-sized
   // installments, each waiting for its refill — an idle TCP connection
-  // still pays ~ceil(n / window) round trips for a multi-window message,
-  // and concurrent users interleave fairly between installments.
+  // still pays ~ceil(n / window) round trips for a multi-window message.
+  // Every installment queues behind those already waiting, so concurrent
+  // users interleave fairly between installments: a user the host keeps
+  // off-CPU loses no share to one that returns for more first.
   double remaining = static_cast<double>(n);
   while (remaining > 0) {
     const double want = std::min(remaining, burst_);
-    const double now = sim_now();
-    last_seen_[cls] = now;
-    refill_locked(now);
-    if (tokens_ >= want) {
-      tokens_ -= want;
-      remaining -= want;
-      continue;
+    const std::uint64_t ticket = next_ticket_++;
+    ++queued_[cls];  // a queued class counts as active for contention
+    cv_.wait(lk, [&] { return serving_ == ticket; });
+    for (;;) {
+      const double now = sim_now();
+      last_seen_[cls] = now;
+      refill_locked(now);
+      if (tokens_ >= want) break;
+      const double deficit = want - tokens_;
+      const double rate_now = effective_rate_locked(now);
+      const double ready_sim = now + deficit / rate_now;
+      // Floor the re-sleep at a little wall time: the computed deadline can
+      // be microseconds away, and waking that often degenerates into a
+      // futex storm that starves the whole process.
+      const auto deadline = std::max(
+          wall_deadline(ready_sim),
+          std::chrono::steady_clock::now() + std::chrono::microseconds(300));
+      cv_.wait_until(lk, deadline);
     }
-    const double deficit = want - tokens_;
-    const double rate_now = effective_rate_locked(now);
-    const double ready_sim = now + deficit / rate_now;
-    // Floor the re-sleep at a little wall time: with many competitors the
-    // computed deadline can be microseconds away, and waking that often
-    // degenerates into a futex storm that starves the whole process.
-    const auto deadline = std::max(
-        wall_deadline(ready_sim),
-        std::chrono::steady_clock::now() + std::chrono::microseconds(300));
-    cv_.wait_until(lk, deadline);
+    tokens_ -= want;
+    remaining -= want;
+    --queued_[cls];
+    ++serving_;
+    cv_.notify_all();
   }
   consumed_ += n;
 }

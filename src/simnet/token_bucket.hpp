@@ -22,7 +22,9 @@ class TokenBucket {
   TokenBucket(const TokenBucket&) = delete;
   TokenBucket& operator=(const TokenBucket&) = delete;
 
-  /// Blocks until n tokens are available, then consumes them.
+  /// Blocks until n tokens are available, then consumes them. Waiters are
+  /// served in arrival order, so concurrent users share the rate fairly
+  /// even when one of them is slow to wake.
   /// `traffic_class` (0..3) identifies who is charging; see set_contention.
   void acquire(std::uint64_t n, int traffic_class = 0);
 
@@ -58,11 +60,16 @@ class TokenBucket {
   std::condition_variable cv_;
   double tokens_;
   double last_refill_sim_;
+  // Ticket queue: each installment takes a ticket and only the ticket being
+  // served waits on the clock; the rest wait for their turn.
+  std::uint64_t next_ticket_ = 0;
+  std::uint64_t serving_ = 0;
   std::uint64_t consumed_ = 0;
 
   double contention_penalty_ = 1.0;
   double contention_window_ = 0.5;
   double last_seen_[kMaxClasses] = {-1e18, -1e18, -1e18, -1e18};
+  int queued_[kMaxClasses] = {0, 0, 0, 0};  // waiting installments per class
 };
 
 }  // namespace remio::simnet

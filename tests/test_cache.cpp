@@ -244,6 +244,10 @@ TEST_F(CachedFileTest, ReReadIsServedFromCache) {
 }
 
 TEST_F(CachedFileTest, SequentialReadsTriggerUsefulPrefetch) {
+  // The fixture's 2000x gives a speculative fill 25 us of wall time to land
+  // between demand reads; 200x gives it 250 us, so a briefly descheduled
+  // I/O thread still gets a fill in ahead of a demand read.
+  simnet::ScopedTimeScale prefetch_scale(200.0);
   // Seed through an uncached handle so the reader's cache starts cold.
   SrbfsDriver seed(fabric_, config());
   remio::Rng rng(11);

@@ -378,7 +378,9 @@ TEST_F(SupervisedFailureTest, ReplayedRunMatchesFaultFreeRunByteForByte) {
     semplar::SrbfsDriver driver(fabric_, cfg);
     mpiio::File f(driver, path, kRwc);
     if (faulty) {
-      faults_->seed(0xfee1u);
+      // Fault decisions are counter-based per stream tag, so this seed drops
+      // a send within the first eight of both streams on every run.
+      faults_->seed(0xff55u);
       faults_->set_drop_probability(0.015);
     }
     std::vector<mpiio::IoRequest> pending;
@@ -529,7 +531,9 @@ TEST_F(SupervisedFailureTest, RandomizedCorruptionIsNeverSilent) {
   // Arm corruption only after connect: the handshake is unchecksummed by
   // design, and integrity errors never trigger reconnects, so from here on
   // every frame either side sends is covered by a CRC trailer.
-  faults_->seed(0x0c0ffee5u);
+  // Counter-based decisions: with this seed both directions of both streams
+  // see a flip within their first twelve frames, on every run.
+  faults_->seed(0xc100156u);
   faults_->set_corrupt_probability(std::max(0.02, chaos_corrupt_rate()),
                                    "semplar/");
   std::vector<mpiio::IoRequest> pending;
@@ -608,9 +612,10 @@ TEST_F(SupervisedFailureTest, DropsAndCorruptionTogetherStillConverge) {
   faults_->seed(0xdeadbea7u);
   faults_->set_drop_probability(0.02);
   faults_->set_corrupt_probability(0.05, "semplar/");
-  // Loop passes until both fault kinds have demonstrably fired (the draw
-  // order depends on I/O thread interleaving, so a fixed pass count would
-  // be flaky); the cap keeps a pathological run bounded.
+  // Loop passes until both fault kinds have demonstrably fired; the cap
+  // keeps a pathological run bounded. Decisions are counter-based per stream
+  // tag, so with this seed the passes at which they fire do not depend on
+  // how the I/O threads interleave.
   Bytes back(data.size());
   for (int pass = 0; pass < 10; ++pass) {
     mpiio::IoRequest req = f.iwrite_at(0, ByteSpan(data.data(), data.size()));

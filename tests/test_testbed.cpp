@@ -109,8 +109,9 @@ TEST_F(TestbedTest, EndToEndRemoteIo) {
 TEST_F(TestbedTest, WindowCapMakesSecondStreamPay) {
   // On DAS-2 the per-stream cap is ~0.36 MB/s; a 4 MB transfer takes ~11
   // sim-s on one stream and about half on two. Finer scale keeps wall
-  // jitter small against those times.
-  simnet::ScopedTimeScale fine_scale(150.0);
+  // jitter, and the stack's CPU time charged at wall x scale, small against
+  // those times.
+  simnet::ScopedTimeScale fine_scale(50.0);
   Testbed tb(das2(), 1);
 
   auto timed_write = [&](int streams) {
@@ -135,8 +136,9 @@ TEST_F(TestbedTest, NatThrottlesAggregateOnOsc) {
   // Two OSC nodes writing concurrently share the NAT bucket; the same two
   // flows on TG (no NAT) are much faster in aggregate.
   // Lower scale: the real CPU cost of moving 8 MB through the stack maps
-  // to wall x scale and would otherwise blur the shaped-time ratio.
-  simnet::ScopedTimeScale fine_scale(100.0);
+  // to wall x scale and would otherwise blur the shaped-time ratio; at 100x
+  // it made up most of the TG time on a busy host.
+  simnet::ScopedTimeScale fine_scale(20.0);
   auto aggregate_time = [&](const ClusterSpec& cluster) {
     Testbed tb(cluster, 2);
     std::atomic<double> t_end{0.0};
