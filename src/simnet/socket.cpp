@@ -8,12 +8,14 @@
 namespace remio::simnet {
 namespace detail {
 
-void Pipe::push(Bytes data, double deliver_sim) {
+void Pipe::push(std::shared_ptr<const Bytes> buf, std::size_t begin,
+                std::size_t end, double deliver_sim) {
+  const std::size_t n = end - begin;
   std::unique_lock lk(mu_);
-  cv_tx_.wait(lk, [&] { return rx_closed_ || bytes_ + data.size() <= capacity_; });
+  cv_tx_.wait(lk, [&] { return rx_closed_ || bytes_ + n <= capacity_; });
   if (rx_closed_) throw NetError("send on closed connection");
-  bytes_ += data.size();
-  q_.push_back(Chunk{std::move(data), deliver_sim});
+  bytes_ += n;
+  q_.push_back(Chunk{std::move(buf), begin, end, deliver_sim});
   cv_rx_.notify_one();
 }
 
@@ -38,13 +40,13 @@ std::size_t Pipe::pop(MutByteSpan out) {
   while (copied < out.size() && head_ < q_.size()) {
     Chunk& front = q_[head_];
     if (now + 1e-12 < front.deliver_sim) break;
-    const std::size_t avail = front.data.size() - front.offset;
-    const std::size_t n = std::min(avail, out.size() - copied);
-    std::copy_n(front.data.data() + front.offset, n, out.data() + copied);
+    const std::size_t n = std::min(front.end - front.offset, out.size() - copied);
+    std::copy_n(front.buf->data() + front.offset, n, out.data() + copied);
     copied += n;
     front.offset += n;
     bytes_ -= n;
-    if (front.offset == front.data.size()) {
+    if (front.offset == front.end) {
+      front.buf.reset();  // the last slice of a send frees its buffer
       ++head_;
       if (head_ > 64 && head_ * 2 > q_.size()) {
         q_.erase(q_.begin(), q_.begin() + static_cast<std::ptrdiff_t>(head_));
@@ -85,10 +87,9 @@ void Socket::set_fault(std::shared_ptr<FaultInjector> fault, std::string tag,
   fault_corrupt_only_ = corrupt_only;
 }
 
-void Socket::send_all(ByteSpan data) {
+void Socket::send_all(Bytes&& data) {
   if (closed_.load(std::memory_order_acquire))
     throw NetError("send on closed socket");
-  Bytes mangled;  // only materialized when a corruption fires
   if (fault_ != nullptr) {
     if (!fault_corrupt_only_) {
       const double spike = fault_->latency_penalty(tag_);
@@ -108,23 +109,20 @@ void Socket::send_all(ByteSpan data) {
     std::uint64_t bit = 0;
     if (data.size() > 4 &&
         fault_->corrupt_send(tag_, fault_corrupt_only_, (data.size() - 4) * 8,
-                             bit)) {
-      mangled.assign(data.begin(), data.end());
-      mangled[4 + static_cast<std::size_t>(bit / 8)] ^=
+                             bit))
+      data[4 + static_cast<std::size_t>(bit / 8)] ^=
           static_cast<char>(1u << (bit % 8));
-      data = ByteSpan(mangled.data(), mangled.size());
-    }
   }
+  const std::size_t size = data.size();
+  const auto buf = std::make_shared<const Bytes>(std::move(data));
   std::size_t off = 0;
-  while (off < data.size()) {
-    const std::size_t n = std::min(quantum_, data.size() - off);
+  while (off < size) {
+    const std::size_t n = std::min(quantum_, size - off);
     if (stream_cap_) stream_cap_->acquire(n);
     // Class 1 = WAN socket traffic; distinguishes it from interconnect
     // traffic (class 2) on buckets with a contention model (node I/O bus).
     for (const auto& res : path_) res->acquire(n, 1);
-    Bytes chunk(data.begin() + static_cast<std::ptrdiff_t>(off),
-                data.begin() + static_cast<std::ptrdiff_t>(off + n));
-    tx_->push(std::move(chunk), sim_now() + latency_);
+    tx_->push(buf, off, off + n, sim_now() + latency_);
     off += n;
     bytes_sent_.fetch_add(n, std::memory_order_relaxed);
   }

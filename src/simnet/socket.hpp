@@ -1,9 +1,11 @@
 // Shaped duplex byte-stream connection. Each direction is a Pipe: a bounded
 // queue of chunks stamped with a simulated delivery time (propagation
-// latency). A send charges, in order, the connection's own window-limited
-// bucket (TCP throughput cap = window / RTT — the reason a second stream
-// nearly doubles throughput in §7.2) and every shared resource on the path
-// (node bus, NIC, uplink / NAT, server NIC).
+// latency). A chunk is a slice of the sender's buffer, which the socket owns
+// from send_all on, so shaping a message into quanta copies nothing. A send
+// charges, in order, the connection's own window-limited bucket (TCP
+// throughput cap = window / RTT — the reason a second stream nearly doubles
+// throughput in §7.2) and every shared resource on the path (node bus, NIC,
+// uplink / NAT, server NIC).
 #pragma once
 
 #include <atomic>
@@ -39,9 +41,10 @@ class Pipe {
  public:
   explicit Pipe(std::size_t capacity_bytes) : capacity_(capacity_bytes) {}
 
-  /// Blocks while the in-flight window is full. Throws NetError if the
-  /// receiver has closed.
-  void push(Bytes data, double deliver_sim);
+  /// Queues bytes [begin, end) of `buf`. Blocks while the in-flight window
+  /// is full. Throws NetError if the receiver has closed.
+  void push(std::shared_ptr<const Bytes> buf, std::size_t begin,
+            std::size_t end, double deliver_sim);
 
   /// Blocks until data is available *and* delivered (per sim clock), the
   /// sender has closed (returns 0 = EOF), or the receiver side is closed.
@@ -53,10 +56,12 @@ class Pipe {
   std::size_t buffered() const;
 
  private:
+  /// Unconsumed bytes [offset, end) of a shared send buffer.
   struct Chunk {
-    Bytes data;
-    double deliver_sim;
-    std::size_t offset = 0;  // partially consumed front chunk
+    std::shared_ptr<const Bytes> buf;
+    std::size_t offset = 0;  // advances as the receiver consumes the chunk
+    std::size_t end = 0;
+    double deliver_sim = 0.0;
   };
 
   mutable std::mutex mu_;
@@ -95,9 +100,13 @@ class Socket {
   Socket(const Socket&) = delete;
   Socket& operator=(const Socket&) = delete;
 
-  /// Sends the whole span, charging shaping resources per quantum.
-  /// Throws NetError if the peer is gone.
-  void send_all(ByteSpan data);
+  /// Sends the whole buffer, charging shaping resources per quantum. The
+  /// socket takes the buffer over: quanta are slices of it, and an injected
+  /// bit flip lands in it in place. Throws NetError if the peer is gone.
+  void send_all(Bytes&& data);
+  /// Copies the span into an owned buffer and sends that; the caller's
+  /// bytes are never modified.
+  void send_all(ByteSpan data) { send_all(Bytes(data.begin(), data.end())); }
 
   /// Receives at least one byte (blocking); returns 0 on EOF.
   std::size_t recv_some(MutByteSpan out);

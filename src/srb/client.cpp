@@ -33,6 +33,26 @@ SrbError status_error(Status st, const std::string& what) {
   return SrbError(st, what);
 }
 
+/// A response the client cannot make sense of; the stream's framing held,
+/// but replaying the op would not fix the broker's answer.
+SrbError protocol_error(const char* site, const std::string& what) {
+  return SrbError(Status::kProtocol,
+                  {remio::ErrorDomain::kProtocol,
+                   static_cast<std::int32_t>(Status::kProtocol),
+                   /*retryable=*/false, site},
+                  what);
+}
+
+/// The extent header both list verbs open with.
+void put_extents(ByteWriter& w, std::int32_t fd, const ExtentList& extents) {
+  w.i32(fd);
+  w.u32(static_cast<std::uint32_t>(extents.size()));
+  for (const Extent& x : extents) {
+    w.u64(x.offset);
+    w.u32(static_cast<std::uint32_t>(x.len));
+  }
+}
+
 }  // namespace
 
 SrbClient::SrbClient(simnet::Fabric& fabric, const std::string& from_host,
@@ -43,15 +63,15 @@ SrbClient::SrbClient(simnet::Fabric& fabric, const std::string& from_host,
     : sock_(fabric.connect(from_host, server_host, port,
                            with_tag(opts, client_name))) {
   connected_ = true;
-  Bytes payload;
-  ByteWriter w(payload);
+  Bytes req = request(Op::kConnect, 12 + client_name.size() + tenant.size());
+  ByteWriter w(req);
   w.str(client_name);
   w.str(tenant);  // optional trailing field; old servers never read it
   // Feature negotiation: appended ONLY when a feature is wanted, so a
   // checksums-off client stays bit-identical to a pre-integrity client.
   if (wire_checksums) w.u32(kFeatureWireChecksums);
-  const Bytes resp = rpc_ok(Op::kConnect, payload, "connect");
-  ByteReader r(ByteSpan(resp.data(), resp.size()));
+  const Reply rep = call_ok(std::move(req), "connect");
+  ByteReader r(rep.body);
   banner_ = r.str();
   // An old server never echoes flags; its silence downgrades the session.
   if (wire_checksums && r.remaining() >= 4)
@@ -67,8 +87,14 @@ SrbClient::~SrbClient() {
   sock_->close();
 }
 
-Status SrbClient::rpc(Op op, const Bytes& payload, Bytes& response) {
-  std::lock_guard lk(mu_);
+Bytes SrbClient::request(Op op, std::size_t reserve) {
+  Bytes frame = start_frame(1 + reserve);
+  ByteWriter(frame).u8(static_cast<std::uint8_t>(op));
+  return frame;
+}
+
+SrbClient::Reply SrbClient::call(Bytes&& frame) {
+  std::unique_lock lk(mu_);
   if (!connected_)
     throw SrbError(Status::kIoError,
                    {remio::ErrorDomain::kTransport,
@@ -76,13 +102,9 @@ Status SrbClient::rpc(Op op, const Bytes& payload, Bytes& response) {
                     /*retryable=*/false, "rpc"},
                    "client disconnected");
   rpc_count_.fetch_add(1, std::memory_order_relaxed);
-  const ByteSpan body(payload.data(), payload.size());
-  if (crc_)
-    send_frame_crc(*sock_, static_cast<std::uint8_t>(op), body);
-  else
-    send_frame(*sock_, static_cast<std::uint8_t>(op), body);
-  Bytes frame;
-  if (!recv_frame(*sock_, frame))
+  finish_frame(*sock_, std::move(frame), crc_);
+  ByteSpan resp = recv_frame_into(*sock_, rx_);
+  if (resp.empty())
     // Mid-stream EOF: the broker died or restarted. Transient — a
     // supervisor can reconnect and replay the op.
     throw SrbError(Status::kIoError,
@@ -90,10 +112,10 @@ Status SrbClient::rpc(Op op, const Bytes& payload, Bytes& response) {
                     static_cast<std::int32_t>(Status::kIoError),
                     /*retryable=*/true, "rpc"},
                    "server closed connection");
-  if (crc_ && !strip_frame_crc(frame)) {
+  if (crc_ && !strip_frame_crc(resp)) {
     // The response arrived corrupted. The framing held (the length prefix
     // is uncovered by design), so the stream is still in phase: the next
-    // rpc() simply re-issues the idempotent op. Retryable integrity error.
+    // call() simply re-issues the idempotent op. Retryable integrity error.
     crc_failures_.fetch_add(1, std::memory_order_relaxed);
     throw SrbError(Status::kChecksumMismatch,
                    {remio::ErrorDomain::kIntegrity,
@@ -101,56 +123,52 @@ Status SrbClient::rpc(Op op, const Bytes& payload, Bytes& response) {
                     /*retryable=*/true, "rpc"},
                    "response frame checksum mismatch");
   }
-  ByteReader r(ByteSpan(frame.data(), frame.size()));
+  ByteReader r(resp);
   const auto status = static_cast<Status>(r.i32());
-  if (!r.ok())
-    throw SrbError(Status::kProtocol,
-                   {remio::ErrorDomain::kProtocol,
-                    static_cast<std::int32_t>(Status::kProtocol),
-                    /*retryable=*/false, "rpc"},
-                   "malformed response");
-  const ByteSpan rest = r.rest();
-  response.assign(rest.begin(), rest.end());
-  return status;
+  if (!r.ok()) throw protocol_error("rpc", "malformed response");
+  return Reply{std::move(lk), status, r.rest()};
 }
 
-Bytes SrbClient::rpc_ok(Op op, const Bytes& payload, const char* what) {
-  Bytes response;
-  const Status st = rpc(op, payload, response);
-  if (st != Status::kOk)
-    throw status_error(st, std::string(what) + ": " + status_name(st));
-  return response;
+SrbClient::Reply SrbClient::call_ok(Bytes&& frame, const char* what) {
+  Reply rep = call(std::move(frame));
+  if (rep.status != Status::kOk)
+    throw status_error(rep.status,
+                       std::string(what) + ": " + status_name(rep.status));
+  return rep;
 }
 
 std::int32_t SrbClient::open(const std::string& path, std::uint32_t flags) {
-  Bytes payload;
-  ByteWriter w(payload);
+  Bytes req = request(Op::kObjOpen, 8 + path.size());
+  ByteWriter w(req);
   w.str(path);
   w.u32(flags);
-  const Bytes resp = rpc_ok(Op::kObjOpen, payload, "open");
-  ByteReader r(ByteSpan(resp.data(), resp.size()));
-  return r.i32();
+  const Reply rep = call_ok(std::move(req), "open");
+  return ByteReader(rep.body).i32();
 }
 
 void SrbClient::close(std::int32_t fd) {
-  Bytes payload;
-  ByteWriter w(payload);
-  w.i32(fd);
-  rpc_ok(Op::kObjClose, payload, "close");
+  Bytes req = request(Op::kObjClose, 4);
+  ByteWriter(req).i32(fd);
+  call_ok(std::move(req), "close");
 }
 
-std::size_t SrbClient::pread(std::int32_t fd, MutByteSpan out, std::uint64_t offset) {
+std::size_t SrbClient::read_at(std::int32_t fd, MutByteSpan out,
+                               std::int64_t offset) {
   std::size_t total = 0;
   while (total < out.size()) {
     const std::size_t want = std::min(out.size() - total, kMaxIoChunk);
-    Bytes payload;
-    ByteWriter w(payload);
+    Bytes req = request(Op::kObjRead, 16);
+    ByteWriter w(req);
     w.i32(fd);
-    w.i64(static_cast<std::int64_t>(offset + total));
+    w.i64(offset < 0 ? -1 : offset + static_cast<std::int64_t>(total));
     w.u32(static_cast<std::uint32_t>(want));
-    const Bytes resp = rpc_ok(Op::kObjRead, payload, "read");
-    ByteReader r(ByteSpan(resp.data(), resp.size()));
-    const Bytes data = r.blob();
+    const Reply rep = call_ok(std::move(req), "read");
+    ByteReader r(rep.body);
+    const ByteSpan data = r.blob_view();
+    // A truncated blob is not EOF, and an oversized one must not write
+    // past the caller's span.
+    if (!r.ok() || data.size() > want)
+      throw protocol_error("read", "read: malformed response body");
     std::copy(data.begin(), data.end(), out.begin() + static_cast<std::ptrdiff_t>(total));
     total += data.size();
     if (data.size() < want) break;  // EOF
@@ -158,41 +176,50 @@ std::size_t SrbClient::pread(std::int32_t fd, MutByteSpan out, std::uint64_t off
   return total;
 }
 
-std::size_t SrbClient::pwrite(std::int32_t fd, ByteSpan data, std::uint64_t offset) {
+std::size_t SrbClient::write_at(std::int32_t fd, ByteSpan data,
+                                std::int64_t offset) {
   std::size_t total = 0;
   while (total < data.size()) {
     const std::size_t n = std::min(data.size() - total, kMaxIoChunk);
-    Bytes payload;
-    ByteWriter w(payload);
+    // The caller's bytes go straight into the request frame.
+    Bytes req = request(Op::kObjWrite, 16 + n);
+    ByteWriter w(req);
     w.i32(fd);
-    w.i64(static_cast<std::int64_t>(offset + total));
+    w.i64(offset < 0 ? -1 : offset + static_cast<std::int64_t>(total));
     w.blob(data.subspan(total, n));
-    rpc_ok(Op::kObjWrite, payload, "write");
+    call_ok(std::move(req), "write");
     total += n;
   }
   return total;
 }
 
+std::size_t SrbClient::pread(std::int32_t fd, MutByteSpan out, std::uint64_t offset) {
+  return read_at(fd, out, static_cast<std::int64_t>(offset));
+}
+
+std::size_t SrbClient::pwrite(std::int32_t fd, ByteSpan data, std::uint64_t offset) {
+  return write_at(fd, data, static_cast<std::int64_t>(offset));
+}
+
+std::size_t SrbClient::read(std::int32_t fd, MutByteSpan out) {
+  return read_at(fd, out, -1);
+}
+
+std::size_t SrbClient::write(std::int32_t fd, ByteSpan data) {
+  return write_at(fd, data, -1);
+}
+
 std::size_t SrbClient::preadv(std::int32_t fd, const ExtentList& extents,
                               MutByteSpan out) {
   if (extents.empty()) return 0;
-  Bytes payload;
-  ByteWriter w(payload);
-  w.i32(fd);
-  w.u32(static_cast<std::uint32_t>(extents.size()));
-  for (const Extent& x : extents) {
-    w.u64(x.offset);
-    w.u32(static_cast<std::uint32_t>(x.len));
-  }
-  const Bytes resp = rpc_ok(Op::kObjReadList, payload, "readv");
-  ByteReader r(ByteSpan(resp.data(), resp.size()));
+  Bytes req = request(Op::kObjReadList, 8 + 12 * extents.size());
+  ByteWriter w(req);
+  put_extents(w, fd, extents);
+  const Reply rep = call_ok(std::move(req), "readv");
+  ByteReader r(rep.body);
   const std::uint32_t count = r.u32();
   if (count != extents.size())
-    throw SrbError(Status::kProtocol,
-                   {remio::ErrorDomain::kProtocol,
-                    static_cast<std::int32_t>(Status::kProtocol),
-                    /*retryable=*/false, "readv"},
-                   "readv: extent count mismatch in response");
+    throw protocol_error("readv", "readv: extent count mismatch in response");
   std::vector<std::uint32_t> actual(count);
   for (std::uint32_t i = 0; i < count; ++i) actual[i] = r.u32();
   // Scatter each extent's actual bytes to its packed position; stop at the
@@ -204,11 +231,7 @@ std::size_t SrbClient::preadv(std::int32_t fd, const ExtentList& extents,
   for (std::uint32_t i = 0; i < count; ++i) {
     if (!r.ok() || actual[i] > extents[i].len ||
         consumed + actual[i] > data.size())
-      throw SrbError(Status::kProtocol,
-                     {remio::ErrorDomain::kProtocol,
-                      static_cast<std::int32_t>(Status::kProtocol),
-                      /*retryable=*/false, "readv"},
-                     "readv: malformed response body");
+      throw protocol_error("readv", "readv: malformed response body");
     std::copy(data.begin() + static_cast<std::ptrdiff_t>(consumed),
               data.begin() + static_cast<std::ptrdiff_t>(consumed + actual[i]),
               out.begin() + static_cast<std::ptrdiff_t>(packed));
@@ -223,75 +246,32 @@ std::size_t SrbClient::preadv(std::int32_t fd, const ExtentList& extents,
 std::size_t SrbClient::pwritev(std::int32_t fd, const ExtentList& extents,
                                ByteSpan data) {
   if (extents.empty()) return 0;
-  Bytes payload;
-  ByteWriter w(payload);
-  w.i32(fd);
-  w.u32(static_cast<std::uint32_t>(extents.size()));
-  for (const Extent& x : extents) {
-    w.u64(x.offset);
-    w.u32(static_cast<std::uint32_t>(x.len));
-  }
+  Bytes req = request(Op::kObjWriteList, 8 + 12 * extents.size() + data.size());
+  ByteWriter w(req);
+  put_extents(w, fd, extents);
   w.raw(data);
-  const Bytes resp = rpc_ok(Op::kObjWriteList, payload, "writev");
-  ByteReader r(ByteSpan(resp.data(), resp.size()));
-  return static_cast<std::size_t>(r.u64());
-}
-
-std::size_t SrbClient::read(std::int32_t fd, MutByteSpan out) {
-  std::size_t total = 0;
-  while (total < out.size()) {
-    const std::size_t want = std::min(out.size() - total, kMaxIoChunk);
-    Bytes payload;
-    ByteWriter w(payload);
-    w.i32(fd);
-    w.i64(-1);
-    w.u32(static_cast<std::uint32_t>(want));
-    const Bytes resp = rpc_ok(Op::kObjRead, payload, "read");
-    ByteReader r(ByteSpan(resp.data(), resp.size()));
-    const Bytes data = r.blob();
-    std::copy(data.begin(), data.end(), out.begin() + static_cast<std::ptrdiff_t>(total));
-    total += data.size();
-    if (data.size() < want) break;
-  }
-  return total;
-}
-
-std::size_t SrbClient::write(std::int32_t fd, ByteSpan data) {
-  std::size_t total = 0;
-  while (total < data.size()) {
-    const std::size_t n = std::min(data.size() - total, kMaxIoChunk);
-    Bytes payload;
-    ByteWriter w(payload);
-    w.i32(fd);
-    w.i64(-1);
-    w.blob(data.subspan(total, n));
-    rpc_ok(Op::kObjWrite, payload, "write");
-    total += n;
-  }
-  return total;
+  const Reply rep = call_ok(std::move(req), "writev");
+  return static_cast<std::size_t>(ByteReader(rep.body).u64());
 }
 
 std::int64_t SrbClient::seek(std::int32_t fd, std::int64_t offset, Whence whence) {
-  Bytes payload;
-  ByteWriter w(payload);
+  Bytes req = request(Op::kObjSeek, 13);
+  ByteWriter w(req);
   w.i32(fd);
   w.i64(offset);
   w.u8(static_cast<std::uint8_t>(whence));
-  const Bytes resp = rpc_ok(Op::kObjSeek, payload, "seek");
-  ByteReader r(ByteSpan(resp.data(), resp.size()));
-  return r.i64();
+  const Reply rep = call_ok(std::move(req), "seek");
+  return ByteReader(rep.body).i64();
 }
 
 std::optional<ObjStat> SrbClient::stat(const std::string& path) {
-  Bytes payload;
-  ByteWriter w(payload);
-  w.str(path);
-  Bytes resp;
-  const Status st = rpc(Op::kObjStat, payload, resp);
-  if (st == Status::kNotFound) return std::nullopt;
-  if (st != Status::kOk)
-    throw status_error(st, std::string("stat: ") + status_name(st));
-  ByteReader r(ByteSpan(resp.data(), resp.size()));
+  Bytes req = request(Op::kObjStat, 4 + path.size());
+  ByteWriter(req).str(path);
+  const Reply rep = call(std::move(req));
+  if (rep.status == Status::kNotFound) return std::nullopt;
+  if (rep.status != Status::kOk)
+    throw status_error(rep.status, std::string("stat: ") + status_name(rep.status));
+  ByteReader r(rep.body);
   ObjStat out;
   out.size = r.u64();
   out.object_id = r.u64();
@@ -300,25 +280,22 @@ std::optional<ObjStat> SrbClient::stat(const std::string& path) {
 }
 
 void SrbClient::unlink(const std::string& path) {
-  Bytes payload;
-  ByteWriter w(payload);
-  w.str(path);
-  rpc_ok(Op::kObjUnlink, payload, "unlink");
+  Bytes req = request(Op::kObjUnlink, 4 + path.size());
+  ByteWriter(req).str(path);
+  call_ok(std::move(req), "unlink");
 }
 
 void SrbClient::make_collection(const std::string& path) {
-  Bytes payload;
-  ByteWriter w(payload);
-  w.str(path);
-  rpc_ok(Op::kCollCreate, payload, "mkcoll");
+  Bytes req = request(Op::kCollCreate, 4 + path.size());
+  ByteWriter(req).str(path);
+  call_ok(std::move(req), "mkcoll");
 }
 
 std::vector<std::string> SrbClient::list(const std::string& collection) {
-  Bytes payload;
-  ByteWriter w(payload);
-  w.str(collection);
-  const Bytes resp = rpc_ok(Op::kCollList, payload, "list");
-  ByteReader r(ByteSpan(resp.data(), resp.size()));
+  Bytes req = request(Op::kCollList, 4 + collection.size());
+  ByteWriter(req).str(collection);
+  const Reply rep = call_ok(std::move(req), "list");
+  ByteReader r(rep.body);
   const std::uint32_t count = r.u32();
   std::vector<std::string> out;
   out.reserve(count);
@@ -328,32 +305,31 @@ std::vector<std::string> SrbClient::list(const std::string& collection) {
 
 void SrbClient::set_attr(const std::string& path, const std::string& key,
                          const std::string& value) {
-  Bytes payload;
-  ByteWriter w(payload);
+  Bytes req = request(Op::kSetAttr, 12 + path.size() + key.size() + value.size());
+  ByteWriter w(req);
   w.str(path);
   w.str(key);
   w.str(value);
-  rpc_ok(Op::kSetAttr, payload, "set_attr");
+  call_ok(std::move(req), "set_attr");
 }
 
 std::optional<std::string> SrbClient::get_attr(const std::string& path,
                                                const std::string& key) {
-  Bytes payload;
-  ByteWriter w(payload);
+  Bytes req = request(Op::kGetAttr, 8 + path.size() + key.size());
+  ByteWriter w(req);
   w.str(path);
   w.str(key);
-  Bytes resp;
-  const Status st = rpc(Op::kGetAttr, payload, resp);
-  if (st == Status::kNotFound) return std::nullopt;
-  if (st != Status::kOk)
-    throw status_error(st, std::string("get_attr: ") + status_name(st));
-  ByteReader r(ByteSpan(resp.data(), resp.size()));
-  return r.str();
+  const Reply rep = call(std::move(req));
+  if (rep.status == Status::kNotFound) return std::nullopt;
+  if (rep.status != Status::kOk)
+    throw status_error(rep.status,
+                       std::string("get_attr: ") + status_name(rep.status));
+  return ByteReader(rep.body).str();
 }
 
 SrbClient::ScrubResult SrbClient::scrub() {
-  const Bytes resp = rpc_ok(Op::kAdminScrub, {}, "scrub");
-  ByteReader r(ByteSpan(resp.data(), resp.size()));
+  const Reply rep = call_ok(request(Op::kAdminScrub, 0), "scrub");
+  ByteReader r(rep.body);
   ScrubResult out;
   out.objects = r.u64();
   out.blocks = r.u64();
@@ -368,9 +344,8 @@ void SrbClient::disconnect() {
     std::lock_guard lk(mu_);
     if (!connected_) return;
   }
-  Bytes resp;
   try {
-    rpc(Op::kDisconnect, {}, resp);
+    call(request(Op::kDisconnect, 0));
   } catch (...) {
     // Server may already be gone; disconnect is best-effort.
   }

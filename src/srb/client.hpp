@@ -120,7 +120,7 @@ class SrbClient {
   const std::string& server_banner() const { return banner_; }
   std::uint64_t bytes_sent() const { return sock_->bytes_sent(); }
   std::uint64_t bytes_received() const { return sock_->bytes_received(); }
-  /// Protocol round-trips issued so far (each rpc() is one request/response
+  /// Protocol round-trips issued so far (each call() is one request/response
   /// pair on the wire); lets tests verify e.g. that one list-I/O message
   /// really carried N extents.
   std::uint64_t rpc_count() const {
@@ -138,13 +138,29 @@ class SrbClient {
   static constexpr std::size_t kMaxIoChunk = 8u << 20;
 
  private:
-  /// Sends a request and receives its response body; returns the status.
-  Status rpc(Op op, const Bytes& payload, Bytes& response);
-  /// Like rpc() but throws SrbError unless status == kOk.
-  Bytes rpc_ok(Op op, const Bytes& payload, const char* what);
+  /// One response, parsed in place: `body` views rx_, so the reply holds
+  /// mu_ until it is destroyed. Copy out of it before the next call.
+  struct Reply {
+    std::unique_lock<std::mutex> lock;
+    Status status = Status::kOk;
+    ByteSpan body;
+  };
+
+  /// Starts a request frame for `op` with room for `reserve` body bytes.
+  static Bytes request(Op op, std::size_t reserve);
+  /// Sends a request built by request() and receives its response into
+  /// rx_, checking the CRC trailer on checksummed sessions.
+  Reply call(Bytes&& frame);
+  /// Like call() but throws SrbError unless status == kOk.
+  Reply call_ok(Bytes&& frame, const char* what);
+  /// The pread/read and pwrite/write loops; a negative offset means the
+  /// server-side file pointer.
+  std::size_t read_at(std::int32_t fd, MutByteSpan out, std::int64_t offset);
+  std::size_t write_at(std::int32_t fd, ByteSpan data, std::int64_t offset);
 
   std::unique_ptr<simnet::Socket> sock_;
   std::mutex mu_;  // serializes request/response pairs on the stream
+  Bytes rx_;       // response frames, reused; guarded by mu_
   std::string banner_;
   std::atomic<std::uint64_t> rpc_count_{0};
   std::atomic<std::uint64_t> crc_failures_{0};

@@ -86,7 +86,7 @@ std::size_t ObjectStore::pread(ObjectId id, MutByteSpan out,
   auto obj = find(id);
   std::size_t n = 0;
   {
-    std::lock_guard lk(obj->mu);
+    std::shared_lock lk(obj->mu);
     if (obj->quarantined)
       throw IntegrityError(id, "object " + std::to_string(id) +
                                    " is quarantined pending repair",
@@ -144,7 +144,7 @@ std::int64_t ObjectStore::truncate(ObjectId id, std::uint64_t size) {
 
 std::uint64_t ObjectStore::size(ObjectId id) const {
   auto obj = find(id);
-  std::lock_guard lk(obj->mu);
+  std::shared_lock lk(obj->mu);
   return obj->data.size();
 }
 
@@ -152,7 +152,7 @@ std::uint64_t ObjectStore::total_bytes() const {
   std::lock_guard lk(mu_);
   std::uint64_t total = 0;
   for (const auto& [id, obj] : objects_) {
-    std::lock_guard olk(obj->mu);
+    std::shared_lock olk(obj->mu);
     total += obj->data.size();
   }
   return total;
@@ -213,7 +213,7 @@ ScrubReport ObjectStore::scrub() {
 
 bool ObjectStore::is_quarantined(ObjectId id) const {
   auto obj = find(id);
-  std::lock_guard lk(obj->mu);
+  std::shared_lock lk(obj->mu);
   return obj->quarantined;
 }
 

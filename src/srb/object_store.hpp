@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -107,7 +108,10 @@ class ObjectStore {
 
  private:
   struct Object {
-    mutable std::mutex mu;
+    /// Shared for pread/size/is_quarantined, so readers verify and copy in
+    /// parallel; exclusive for everything that changes data, sums or the
+    /// quarantine flag.
+    mutable std::shared_mutex mu;
     Bytes data;
     /// CRC32C per checksum_block chunk of `data` (empty when disabled).
     std::vector<std::uint32_t> sums;
@@ -116,10 +120,10 @@ class ObjectStore {
 
   std::shared_ptr<Object> find(ObjectId id) const;
   /// Recomputes sums for the blocks covering [begin, end); caller holds
-  /// the object mutex.
+  /// the object mutex exclusively.
   void rehash_range(Object& obj, std::uint64_t begin, std::uint64_t end) const;
   /// Verifies the blocks covering [begin, end); returns the index of the
-  /// first bad block or -1. Caller holds the object mutex.
+  /// first bad block or -1. Caller holds the object mutex (shared is enough).
   std::int64_t verify_range(const Object& obj, std::uint64_t begin,
                             std::uint64_t end) const;
 

@@ -21,64 +21,63 @@ const char* status_name(Status s) {
   return "unknown";
 }
 
-namespace {
-void send_framed(simnet::Socket& sock, ByteSpan head, ByteSpan body,
-                 bool with_crc) {
-  Bytes msg;
-  msg.reserve(4 + head.size() + body.size() + (with_crc ? 4 : 0));
-  ByteWriter w(msg);
-  w.u32(static_cast<std::uint32_t>(head.size() + body.size() +
-                                   (with_crc ? 4 : 0)));
-  w.raw(head);
-  w.raw(body);
+Bytes start_frame(std::size_t reserve) {
+  Bytes frame;
+  frame.reserve(4 + reserve + 4);
+  frame.resize(4);  // length prefix, patched by finish_frame
+  return frame;
+}
+
+void finish_frame(simnet::Socket& sock, Bytes&& frame, bool with_crc) {
   if (with_crc) {
-    Crc32c crc;
-    crc.update(head);
-    crc.update(body);
-    w.u32(crc.value());
+    const std::uint32_t crc = crc32c(ByteSpan(frame.data() + 4, frame.size() - 4));
+    ByteWriter(frame).u32(crc);
   }
-  sock.send_all(msg);
+  const auto len = static_cast<std::uint32_t>(frame.size() - 4);
+  std::memcpy(frame.data(), &len, 4);
+  sock.send_all(std::move(frame));
+}
+
+namespace {
+void send_framed(simnet::Socket& sock, std::uint8_t head, ByteSpan body,
+                 bool with_crc) {
+  Bytes frame = start_frame(1 + body.size());
+  ByteWriter w(frame);
+  w.u8(head);
+  w.raw(body);
+  finish_frame(sock, std::move(frame), with_crc);
 }
 }  // namespace
 
 void send_frame(simnet::Socket& sock, std::uint8_t head, ByteSpan body) {
-  const char h = static_cast<char>(head);
-  send_framed(sock, ByteSpan(&h, 1), body, /*with_crc=*/false);
-}
-
-void send_frame2(simnet::Socket& sock, std::int32_t status, ByteSpan body) {
-  Bytes head;
-  ByteWriter w(head);
-  w.i32(status);
   send_framed(sock, head, body, /*with_crc=*/false);
 }
 
 void send_frame_crc(simnet::Socket& sock, std::uint8_t head, ByteSpan body) {
-  const char h = static_cast<char>(head);
-  send_framed(sock, ByteSpan(&h, 1), body, /*with_crc=*/true);
-}
-
-void send_frame2_crc(simnet::Socket& sock, std::int32_t status, ByteSpan body) {
-  Bytes head;
-  ByteWriter w(head);
-  w.i32(status);
   send_framed(sock, head, body, /*with_crc=*/true);
 }
 
-bool strip_frame_crc(Bytes& frame) {
+bool strip_frame_crc(ByteSpan& frame) {
   if (frame.size() < 5) return false;  // head byte + trailer at minimum
   const std::size_t content = frame.size() - 4;
   std::uint32_t wire;
   std::memcpy(&wire, frame.data() + content, 4);
-  if (crc32c(ByteSpan(frame.data(), content)) != wire) return false;
-  frame.resize(content);
+  if (crc32c(frame.first(content)) != wire) return false;
+  frame = frame.first(content);
   return true;
 }
 
-bool recv_frame(simnet::Socket& sock, Bytes& out) {
+bool strip_frame_crc(Bytes& frame) {
+  ByteSpan view(frame.data(), frame.size());
+  if (!strip_frame_crc(view)) return false;
+  frame.resize(view.size());
+  return true;
+}
+
+MutByteSpan recv_frame_into(simnet::Socket& sock, Bytes& buf) {
   char lenbuf[4];
   const std::size_t first = sock.recv_some(MutByteSpan(lenbuf, 4));
-  if (first == 0) return false;  // clean EOF between frames
+  if (first == 0) return {};  // clean EOF between frames
   if (first < 4 && !sock.recv_all(MutByteSpan(lenbuf + first, 4 - first)))
     throw simnet::NetError("truncated frame length");
 
@@ -86,10 +85,16 @@ bool recv_frame(simnet::Socket& sock, Bytes& out) {
   std::memcpy(&len, lenbuf, 4);
   if (len == 0 || len > kMaxMessage) throw simnet::NetError("bad frame length");
 
+  if (buf.size() < len) buf.resize(len);
+  const MutByteSpan frame(buf.data(), len);
+  if (!sock.recv_all(frame)) throw simnet::NetError("truncated frame body");
+  return frame;
+}
+
+bool recv_frame(simnet::Socket& sock, Bytes& out) {
+  const std::size_t len = recv_frame_into(sock, out).size();
   out.resize(len);
-  if (!sock.recv_all(MutByteSpan(out.data(), out.size())))
-    throw simnet::NetError("truncated frame body");
-  return true;
+  return len != 0;
 }
 
 }  // namespace remio::srb

@@ -92,7 +92,7 @@ enum class Whence : std::uint8_t { kSet = 0, kCur = 1, kEnd = 2 };
 /// when the client sent one. Old peers never read the trailing bytes, so
 /// interop falls back to the unadorned protocol in both directions.
 enum FeatureFlags : std::uint32_t {
-  /// Every post-connect frame carries a CRC32C trailer (see send_frame_crc).
+  /// Every post-connect frame carries a CRC32C trailer (see finish_frame).
   kFeatureWireChecksums = 1u << 0,
 };
 
@@ -104,27 +104,43 @@ constexpr std::uint32_t kMaxMessage = 128u << 20;
 /// data is read).
 constexpr std::uint32_t kMaxListExtents = 4096;
 
-/// Sends one framed message: [len][head][body...].
-void send_frame(simnet::Socket& sock, std::uint8_t head, ByteSpan body);
-void send_frame2(simnet::Socket& sock, std::int32_t status, ByteSpan body);
+/// Starts a frame in one buffer sized for its final layout: the 4-byte
+/// length prefix (patched by finish_frame), room for `reserve` bytes of
+/// head and body appended by the caller, and room for the CRC trailer, so
+/// nothing the frame carries is copied again before it reaches the socket.
+Bytes start_frame(std::size_t reserve);
 
-/// Checksummed framing (kFeatureWireChecksums sessions): the frame content
-/// gains a crc32c:u32 trailer over [head|body], and len counts it —
+/// Completes a frame begun by start_frame — patches the length prefix and,
+/// with `with_crc`, appends the CRC32C trailer — and moves it into the
+/// socket. Checksummed framing (kFeatureWireChecksums sessions) gives the
+/// content a crc32c:u32 trailer over [head|body], and len counts it:
 /// [len][head][body...][crc32c]. The length prefix itself stays uncovered:
 /// it is what keeps the two ends in phase, and the fault model (like TCP
 /// segmentation) preserves it, so a corrupted frame is still a *complete*
 /// frame and the receiver can answer kChecksumMismatch in rhythm.
+void finish_frame(simnet::Socket& sock, Bytes&& frame, bool with_crc);
+
+/// Sends one framed message: [len][head][body...], with the CRC trailer
+/// for send_frame_crc.
+void send_frame(simnet::Socket& sock, std::uint8_t head, ByteSpan body);
 void send_frame_crc(simnet::Socket& sock, std::uint8_t head, ByteSpan body);
-void send_frame2_crc(simnet::Socket& sock, std::int32_t status, ByteSpan body);
 
 /// Verifies and strips the CRC32C trailer of a received frame in place.
 /// Returns false on mismatch (or a frame too short to carry the trailer);
 /// the caller decides the reaction (server: reply kChecksumMismatch and
 /// keep the session; client: throw a retryable integrity error).
+bool strip_frame_crc(ByteSpan& frame);
 bool strip_frame_crc(Bytes& frame);
 
-/// Receives one framed message; returns false on clean EOF before a frame.
-/// Throws simnet::NetError on mid-frame EOF or oversized frames.
+/// Receives one frame's content (everything after the length prefix) into
+/// the front of `buf` and returns a view of it; an empty view means clean
+/// EOF before a frame. `buf` grows when a frame is larger and never
+/// shrinks, so a buffer reused across frames is zero-filled only when it
+/// grows. Throws simnet::NetError on mid-frame EOF or oversized frames.
+MutByteSpan recv_frame_into(simnet::Socket& sock, Bytes& buf);
+
+/// recv_frame_into with `out` resized to exactly the frame's content;
+/// returns false on clean EOF before a frame.
 bool recv_frame(simnet::Socket& sock, Bytes& out);
 
 }  // namespace remio::srb

@@ -7,6 +7,15 @@
 #include "common/log.hpp"
 
 namespace remio::srb {
+namespace {
+
+/// Overwrites the little-endian u32 at `pos` (a length written ahead of the
+/// bytes it counts).
+void put_u32(Bytes& buf, std::size_t pos, std::uint32_t v) {
+  std::memcpy(buf.data() + pos, &v, sizeof v);
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Session: one connected client, its fd table, and the dispatch loop.
@@ -40,8 +49,12 @@ class SrbServer::Session {
 
   void loop() {
     try {
-      Bytes frame;
-      while (recv_frame(*sock_, frame)) {
+      // One receive buffer for the session; it only ever grows, and write
+      // payloads go to the store straight out of it.
+      Bytes rx;
+      for (;;) {
+        ByteSpan frame = recv_frame_into(*sock_, rx);
+        if (frame.empty()) break;
         if (crc_ && !strip_frame_crc(frame)) {
           // Request arrived corrupted. Framing held (the length prefix is
           // uncovered by design), so the stream is still in phase: report
@@ -51,7 +64,7 @@ class SrbServer::Session {
           reply(Status::kChecksumMismatch);
           continue;
         }
-        ByteReader r(ByteSpan(frame.data(), frame.size()));
+        ByteReader r(frame);
         const auto op = static_cast<Op>(r.u8());
         bool keep = true;
         try {
@@ -116,15 +129,17 @@ class SrbServer::Session {
     bool admitted_ = true;
   };
 
-  void reply(Status st) { reply(st, {}); }
-
-  void reply(Status st, const Bytes& body) {
-    const ByteSpan span(body.data(), body.size());
-    if (crc_)
-      send_frame2_crc(*sock_, static_cast<std::int32_t>(st), span);
-    else
-      send_frame2(*sock_, static_cast<std::int32_t>(st), span);
+  /// Starts a reply frame carrying `st`; `reserve` is the body the caller
+  /// appends before send().
+  static Bytes reply_frame(Status st, std::size_t reserve = 0) {
+    Bytes frame = start_frame(4 + reserve);
+    ByteWriter(frame).i32(static_cast<std::int32_t>(st));
+    return frame;
   }
+
+  void send(Bytes&& frame) { finish_frame(*sock_, std::move(frame), crc_); }
+
+  void reply(Status st) { send(reply_frame(st)); }
 
   bool dispatch(Op op, ByteReader& r) {
     switch (op) {
@@ -149,13 +164,13 @@ class SrbServer::Session {
         std::uint32_t granted = 0;
         if (server_.cfg_.wire_checksums)
           granted = asked & kFeatureWireChecksums;
-        Bytes body;
-        ByteWriter w(body);
+        Bytes frame = reply_frame(Status::kOk, 8 + server_.cfg_.banner.size());
+        ByteWriter w(frame);
         w.str(server_.cfg_.banner);
         // Echo accepted flags ONLY to a client that sent some: an old
         // client would misparse trailing bytes it never asked for.
         if (asked != 0) w.u32(granted);
-        reply(Status::kOk, body);
+        send(std::move(frame));
         // The connect exchange itself is never checksummed (the feature is
         // being negotiated in it); coverage starts with the next frame.
         crc_ = (granted & kFeatureWireChecksums) != 0;
@@ -224,10 +239,9 @@ class SrbServer::Session {
     const std::int32_t fd = next_fd_++;
     fds_[fd] = st;
 
-    Bytes body;
-    ByteWriter w(body);
-    w.i32(fd);
-    reply(Status::kOk, body);
+    Bytes frame = reply_frame(Status::kOk, 4);
+    ByteWriter(frame).i32(fd);
+    send(std::move(frame));
     return true;
   }
 
@@ -259,16 +273,16 @@ class SrbServer::Session {
       return true;
     }
     const std::uint64_t at = offset >= 0 ? static_cast<std::uint64_t>(offset) : st.fp;
-    Bytes data(len);
-    const std::size_t n =
-        server_.store_.pread(st.object, MutByteSpan(data.data(), data.size()), at);
-    data.resize(n);
+    // The store reads straight into the reply frame, at the blob's offset.
+    Bytes frame = reply_frame(Status::kOk, 4 + len);
+    const std::size_t data_at = frame.size() + 4;
+    frame.resize(data_at + len);
+    const std::size_t n = server_.store_.pread(
+        st.object, MutByteSpan(frame.data() + data_at, len), at);
+    frame.resize(data_at + n);
+    put_u32(frame, data_at - 4, static_cast<std::uint32_t>(n));
     if (offset < 0) st.fp = at + n;
-
-    Bytes body;
-    ByteWriter w(body);
-    w.blob(ByteSpan(data.data(), data.size()));
-    reply(Status::kOk, body);
+    send(std::move(frame));
     return true;
   }
 
@@ -312,10 +326,9 @@ class SrbServer::Session {
                             static_cast<std::int64_t>(reserved));
     if (offset < 0) st.fp = at + data.size();
 
-    Bytes body;
-    ByteWriter w(body);
-    w.u32(static_cast<std::uint32_t>(data.size()));
-    reply(Status::kOk, body);
+    Bytes frame = reply_frame(Status::kOk, 4);
+    ByteWriter(frame).u32(static_cast<std::uint32_t>(data.size()));
+    send(std::move(frame));
     return true;
   }
 
@@ -382,26 +395,27 @@ class SrbServer::Session {
       return true;
     }
     // Response: per-extent actual lengths, then the read bytes concatenated
-    // (short extents contribute only their actual bytes).
-    Bytes lens;
-    ByteWriter lw(lens);
-    Bytes data(static_cast<std::size_t>(sum));
+    // (short extents contribute only their actual bytes). The store reads
+    // straight into the reply frame.
+    const std::size_t lens_bytes = 4 * std::size_t{count};
+    Bytes frame = reply_frame(Status::kOk, 4 + lens_bytes + sum);
+    ByteWriter(frame).u32(count);
+    const std::size_t lens_at = frame.size();
+    const std::size_t data_at = lens_at + lens_bytes;
+    frame.resize(data_at + sum);
     std::size_t filled = 0;
-    for (const Extent& x : extents) {
+    for (std::size_t i = 0; i < extents.size(); ++i) {
+      const Extent& x = extents[i];
       const std::size_t n = server_.store_.pread(
           st.object,
-          MutByteSpan(data.data() + filled, static_cast<std::size_t>(x.len)),
+          MutByteSpan(frame.data() + data_at + filled,
+                      static_cast<std::size_t>(x.len)),
           x.offset);
-      lw.u32(static_cast<std::uint32_t>(n));
+      put_u32(frame, lens_at + 4 * i, static_cast<std::uint32_t>(n));
       filled += n;
     }
-    data.resize(filled);
-    Bytes body;
-    ByteWriter w(body);
-    w.u32(count);
-    w.raw(ByteSpan(lens.data(), lens.size()));
-    w.raw(ByteSpan(data.data(), data.size()));
-    reply(Status::kOk, body);
+    frame.resize(data_at + filled);
+    send(std::move(frame));
     return true;
   }
 
@@ -461,10 +475,9 @@ class SrbServer::Session {
     if (tenant_ != nullptr)
       tenant_->adjust_bytes(static_cast<std::int64_t>(growth) -
                             static_cast<std::int64_t>(reserved));
-    Bytes body;
-    ByteWriter w(body);
-    w.u64(sum);
-    reply(Status::kOk, body);
+    Bytes frame = reply_frame(Status::kOk, 8);
+    ByteWriter(frame).u64(sum);
+    send(std::move(frame));
     return true;
   }
 
@@ -493,10 +506,9 @@ class SrbServer::Session {
       return true;
     }
     st.fp = static_cast<std::uint64_t>(pos);
-    Bytes body;
-    ByteWriter w(body);
-    w.i64(pos);
-    reply(Status::kOk, body);
+    Bytes frame = reply_frame(Status::kOk, 8);
+    ByteWriter(frame).i64(pos);
+    send(std::move(frame));
     return true;
   }
 
@@ -508,12 +520,12 @@ class SrbServer::Session {
       reply(Status::kNotFound);
       return true;
     }
-    Bytes body;
-    ByteWriter w(body);
+    Bytes frame = reply_frame(Status::kOk, 20 + meta->resource.size());
+    ByteWriter w(frame);
     w.u64(server_.store_.exists(meta->id) ? server_.store_.size(meta->id) : 0);
     w.u64(meta->id);
     w.str(meta->resource);
-    reply(Status::kOk, body);
+    send(std::move(frame));
     return true;
   }
 
@@ -549,11 +561,11 @@ class SrbServer::Session {
       return true;
     }
     const auto entries = server_.mcat_.list(path);
-    Bytes body;
-    ByteWriter w(body);
+    Bytes frame = reply_frame(Status::kOk);
+    ByteWriter w(frame);
     w.u32(static_cast<std::uint32_t>(entries.size()));
     for (const auto& e : entries) w.str(unmap_path(e));
-    reply(Status::kOk, body);
+    send(std::move(frame));
     return true;
   }
 
@@ -575,24 +587,23 @@ class SrbServer::Session {
       reply(Status::kNotFound);
       return true;
     }
-    Bytes body;
-    ByteWriter w(body);
-    w.str(*value);
-    reply(Status::kOk, body);
+    Bytes frame = reply_frame(Status::kOk, 4 + value->size());
+    ByteWriter(frame).str(*value);
+    send(std::move(frame));
     return true;
   }
 
   bool handle_scrub(ByteReader& r) {
     if (!r.ok()) return proto_error();
     const ScrubReport rep = server_.store_.scrub();
-    Bytes body;
-    ByteWriter w(body);
+    Bytes frame = reply_frame(Status::kOk, 40);
+    ByteWriter w(frame);
     w.u64(rep.objects);
     w.u64(rep.blocks);
     w.u64(rep.mismatched);
     w.u64(rep.quarantined);
     w.u64(rep.healed);
-    reply(Status::kOk, body);
+    send(std::move(frame));
     return true;
   }
 

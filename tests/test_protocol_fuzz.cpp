@@ -3,6 +3,7 @@
 // cleanly, the server stays up, and well-behaved clients keep working.
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -587,6 +588,154 @@ TEST_F(ProtocolFuzzTest, ReadLengthAboveCapRejected) {
   (void)sock->recv_some(MutByteSpan(reply.data(), reply.size()));
   client.close(fd);
   expect_server_alive();
+}
+
+
+// ---------------------------------------------------------------------------
+// Framing layout: frames built in place by start_frame/finish_frame carry
+// exactly the bytes of the original [len][head][body][crc32c?] encoding.
+// ---------------------------------------------------------------------------
+
+/// The reference encoding, assembled field by field.
+Bytes legacy_frame(ByteSpan head, ByteSpan body, bool with_crc) {
+  Bytes out;
+  ByteWriter w(out);
+  w.u32(static_cast<std::uint32_t>(head.size() + body.size() + (with_crc ? 4 : 0)));
+  w.raw(head);
+  w.raw(body);
+  if (with_crc) {
+    Crc32c crc;
+    crc.update(head);
+    crc.update(body);
+    w.u32(crc.value());
+  }
+  return out;
+}
+
+TEST(Framing, FinishFrameMatchesLegacyBytes) {
+  simnet::ScopedTimeScale scale(5000.0);
+  auto [tx, rx] = simnet::Socket::make_pair({}, "a", "b");
+  const Bytes body = Rng(42).bytes(70000);
+  const ByteSpan body_span(body.data(), body.size());
+  const char op = static_cast<char>(Op::kObjWrite);
+  Bytes status;
+  ByteWriter(status).i32(static_cast<std::int32_t>(Status::kQuarantined));
+  for (const bool with_crc : {false, true}) {
+    // Request shape through the send_frame wrappers.
+    if (with_crc)
+      send_frame_crc(*tx, static_cast<std::uint8_t>(op), body_span);
+    else
+      send_frame(*tx, static_cast<std::uint8_t>(op), body_span);
+    Bytes want = legacy_frame(ByteSpan(&op, 1), body_span, with_crc);
+    Bytes got(want.size());
+    ASSERT_TRUE(rx->recv_all(MutByteSpan(got.data(), got.size())));
+    EXPECT_EQ(got, want) << "request, crc " << with_crc;
+
+    // Response shape, built in place the way the broker builds replies.
+    Bytes frame = start_frame(status.size() + body.size());
+    ByteWriter w(frame);
+    w.raw(ByteSpan(status.data(), status.size()));
+    w.raw(body_span);
+    finish_frame(*tx, std::move(frame), with_crc);
+    want = legacy_frame(ByteSpan(status.data(), status.size()), body_span, with_crc);
+    got.assign(want.size(), 0);
+    ASSERT_TRUE(rx->recv_all(MutByteSpan(got.data(), got.size())));
+    EXPECT_EQ(got, want) << "response, crc " << with_crc;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Client-side response checks, driven by a fake broker that answers kObjRead
+// with bodies a real broker never sends.
+// ---------------------------------------------------------------------------
+
+/// Serves one connection on orion:5545: kConnect and kObjOpen get proper
+/// answers (no feature flags, so the session runs unchecksummed), every
+/// kObjRead gets `read_body` with status kOk, anything else a bare kOk.
+class FakeBroker {
+ public:
+  FakeBroker(simnet::Fabric& fabric, Bytes read_body)
+      : acceptor_(fabric.listen("orion", 5545)), read_body_(std::move(read_body)) {
+    thread_ = std::thread([this] { serve(); });
+  }
+  ~FakeBroker() {
+    acceptor_->close();
+    thread_.join();
+  }
+  FakeBroker(const FakeBroker&) = delete;
+  FakeBroker& operator=(const FakeBroker&) = delete;
+
+ private:
+  void serve() {
+    auto sock = acceptor_->accept();
+    if (!sock) return;
+    try {
+      Bytes req;
+      while (recv_frame(**sock, req)) {
+        Bytes reply = start_frame(16 + read_body_.size());
+        ByteWriter w(reply);
+        w.i32(static_cast<std::int32_t>(Status::kOk));
+        switch (static_cast<Op>(req[0])) {
+          case Op::kConnect: w.str("fake-broker"); break;
+          case Op::kObjOpen: w.i32(3); break;
+          case Op::kObjRead: w.raw(ByteSpan(read_body_.data(), read_body_.size())); break;
+          default: break;
+        }
+        finish_frame(**sock, std::move(reply), /*with_crc=*/false);
+      }
+    } catch (const simnet::NetError&) {
+      // The client hung up mid-exchange; nothing left to serve.
+    }
+  }
+
+  std::shared_ptr<simnet::Acceptor> acceptor_;
+  Bytes read_body_;
+  std::thread thread_;
+};
+
+/// A kObjRead response body: a blob claiming `claimed` bytes that carries
+/// `carried` of them.
+Bytes read_body(std::uint32_t claimed, std::size_t carried) {
+  Bytes body;
+  ByteWriter w(body);
+  w.u32(claimed);
+  const Bytes data(carried, 'D');
+  w.raw(ByteSpan(data.data(), data.size()));
+  return body;
+}
+
+/// Reads 64 bytes with pread (or read, the file-pointer variant) from a
+/// fake broker answering `body`; expects kProtocol and that nothing past
+/// the caller's span was written.
+void expect_read_rejected(simnet::Fabric& fabric, Bytes body, bool file_pointer) {
+  FakeBroker broker(fabric, std::move(body));
+  SrbClient client(fabric, "evil", "orion", 5545);
+  const std::int32_t fd = client.open("/fake", kRead);
+  Bytes buf(64 + 32, 'G');  // 32 guard bytes follow the caller's span
+  const MutByteSpan out(buf.data(), 64);
+  try {
+    if (file_pointer)
+      client.read(fd, out);
+    else
+      client.pread(fd, out, 0);
+    ADD_FAILURE() << "malformed read response accepted";
+  } catch (const SrbError& e) {
+    EXPECT_EQ(e.status(), Status::kProtocol);
+    EXPECT_EQ(e.domain(), remio::ErrorDomain::kProtocol);
+    EXPECT_FALSE(e.retryable());
+  }
+  for (std::size_t i = 64; i < buf.size(); ++i)
+    ASSERT_EQ(buf[i], 'G') << "wrote past the caller's span at " << i;
+}
+
+TEST_F(ProtocolFuzzTest, OversizedReadResponseRejected) {
+  for (const bool file_pointer : {false, true})
+    expect_read_rejected(fabric_, read_body(96, 96), file_pointer);
+}
+
+TEST_F(ProtocolFuzzTest, TruncatedReadResponseIsNotEof) {
+  for (const bool file_pointer : {false, true})
+    expect_read_rejected(fabric_, read_body(64, 10), file_pointer);
 }
 
 }  // namespace

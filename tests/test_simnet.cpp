@@ -10,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "simnet/fabric.hpp"
+#include "simnet/faults.hpp"
 #include "simnet/timescale.hpp"
 #include "simnet/token_bucket.hpp"
 
@@ -453,6 +454,101 @@ TEST_F(FabricTest, DataIntegrityUnderShaping) {
   client->send_all(ByteSpan(payload.data(), payload.size()));
   client->shutdown_send();
   EXPECT_EQ(reader.get(), payload);
+}
+
+
+// --- owned sends: quanta are slices of the sender's buffer -------------------
+
+/// A directly connected pair whose shaping splits sends into 4 KiB quanta.
+std::pair<std::unique_ptr<Socket>, std::unique_ptr<Socket>> sliced_pair() {
+  ConnShaping shaping;
+  shaping.quantum = 4096;
+  shaping.window_bytes = 64 * 1024;
+  return Socket::make_pair(shaping, "client", "server");
+}
+
+/// Positions of the bits in which `a` and `b` (equal sizes) differ.
+std::vector<std::size_t> differing_bits(const Bytes& a, const Bytes& b) {
+  std::vector<std::size_t> bits;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    for (std::size_t k = 0; k < 8; ++k)
+      if (((a[i] ^ b[i]) >> k) & 1) bits.push_back(i * 8 + k);
+  return bits;
+}
+
+TEST(OwnedSend, ManyQuantaArriveByteExact) {
+  ScopedTimeScale scale(kScale);
+  auto pair = sliced_pair();
+  Socket& client = *pair.first;
+  Socket& server = *pair.second;
+  // Several times the in-flight window: the sender blocks on the window
+  // while earlier slices of its one buffer are still being drained.
+  const Bytes payload = Rng(5).bytes(300 * 1024 + 17);
+  auto reader = std::async(std::launch::async, [&]() -> Bytes {
+    Bytes got(payload.size());
+    EXPECT_TRUE(server.recv_all(MutByteSpan(got.data(), got.size())));
+    return got;
+  });
+  Bytes owned = payload;
+  client.send_all(std::move(owned));
+  EXPECT_EQ(reader.get(), payload);
+  EXPECT_EQ(client.bytes_sent(), payload.size());
+}
+
+TEST(OwnedSend, PipeBufferedReturnsToZeroAndReleasesTheBuffer) {
+  ScopedTimeScale scale(kScale);
+  detail::Pipe pipe(1 << 20);
+  auto buf = std::make_shared<const Bytes>(Rng(6).bytes(10000));
+  for (std::size_t off = 0; off < buf->size(); off += 4096)
+    pipe.push(buf, off, std::min<std::size_t>(off + 4096, buf->size()), sim_now());
+  EXPECT_EQ(pipe.buffered(), buf->size());
+  Bytes got;
+  while (got.size() < buf->size()) {
+    Bytes part(3000);  // pops cross slice boundaries
+    const std::size_t n = pipe.pop(MutByteSpan(part.data(), part.size()));
+    ASSERT_GT(n, 0u);
+    got.insert(got.end(), part.begin(), part.begin() + static_cast<std::ptrdiff_t>(n));
+    EXPECT_EQ(pipe.buffered(), buf->size() - got.size());
+  }
+  EXPECT_EQ(got, *buf);
+  EXPECT_EQ(pipe.buffered(), 0u);
+  EXPECT_EQ(buf.use_count(), 1);  // drained slices hold no reference
+}
+
+TEST(OwnedSend, InjectedCorruptionFlipsExactlyOneBitPastThePrefix) {
+  ScopedTimeScale scale(kScale);
+  auto [client, server] = sliced_pair();
+  auto fault = std::make_shared<FaultInjector>();
+  fault->set_corrupt_probability(1.0);
+  client->set_fault(fault, "owned", /*corrupt_only=*/true);
+  Rng rng(7);
+  constexpr int kSends = 24;
+  for (int i = 0; i < kSends; ++i) {
+    const Bytes sent = rng.bytes(3 * 4096 + rng.below(4096));
+    Bytes owned = sent;
+    client->send_all(std::move(owned));
+    Bytes got(sent.size());
+    ASSERT_TRUE(server->recv_all(MutByteSpan(got.data(), got.size())));
+    const auto bits = differing_bits(sent, got);
+    ASSERT_EQ(bits.size(), 1u) << "send " << i;
+    EXPECT_GE(bits[0], 32u) << "the 4-byte length prefix must survive";
+  }
+  EXPECT_EQ(fault->corruptions(), static_cast<std::uint64_t>(kSends));
+}
+
+TEST(OwnedSend, SpanSendNeverMutatesTheCallersBytes) {
+  ScopedTimeScale scale(kScale);
+  auto [client, server] = sliced_pair();
+  auto fault = std::make_shared<FaultInjector>();
+  fault->set_corrupt_probability(1.0);
+  client->set_fault(fault, "span", /*corrupt_only=*/true);
+  const Bytes pristine = Rng(8).bytes(5 * 4096 + 3);
+  const Bytes caller = pristine;
+  client->send_all(ByteSpan(caller.data(), caller.size()));
+  Bytes got(caller.size());
+  ASSERT_TRUE(server->recv_all(MutByteSpan(got.data(), got.size())));
+  EXPECT_EQ(caller, pristine);                          // untouched
+  EXPECT_EQ(differing_bits(pristine, got).size(), 1u);  // the copy was hit
 }
 
 }  // namespace
