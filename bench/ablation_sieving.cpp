@@ -49,7 +49,6 @@ Cell run_cell(Testbed& tb, semplar::Config::Sieve::Mode mode,
               const char* strategy, bool is_write, int count,
               std::size_t extent_bytes) {
   semplar::Config cfg = tb.semplar_config(0);
-  cfg.sieve.enabled = true;
   cfg.sieve.mode = mode;
   semplar::SemplarFile f(tb.fabric(), cfg, "/sieving/tile",
                          mpiio::kModeRead | mpiio::kModeWrite);

@@ -35,8 +35,6 @@
 #include "srb/mcat.hpp"
 #include "srb/protocol.hpp"
 
-#include "mcat_flat.hpp"  // tests/: the flat-catalog oracle
-
 namespace {
 
 using namespace remio;
@@ -362,17 +360,14 @@ void BM_StdFunctionCreateCall(benchmark::State& state) {
 }
 BENCHMARK(BM_StdFunctionCreateCall);
 
-// --- MCAT catalog (PR 9) -----------------------------------------------------
+// --- MCAT catalog ------------------------------------------------------------
 //
-// The multi-tenant acceptance number: resolve throughput through the
-// lock-striped Mcat vs. the original single-mutex catalog (kept verbatim
-// as FlatMcat), both loaded with the same 64-tenant x 1024-object
-// namespace. The deep common-prefix paths are deliberate — they are what
-// a tenant-prefixed namespace looks like, and they are the worst case for
-// the flat std::map (every O(log n) probe re-compares the shared prefix)
-// while the striped catalog hashes once and lands on a one-entry bucket.
-// ->Threads(8) adds the contention axis: 8 resolvers serialize on the
-// flat mutex but fan out across 64 stripe rwlocks.
+// Resolve throughput through the single-lock catalog, loaded with a
+// 64-tenant x 65536-object namespace. The deep common-prefix paths are
+// what a tenant-prefixed namespace looks like (every O(log n) map probe
+// re-compares the shared prefix). ->Threads(8) adds the contention axis:
+// 8 resolvers serialize on the one mutex. The broker resolves only on
+// open/stat/unlink, never per read or write.
 
 constexpr int kMcatTenants = 64;
 constexpr int kMcatObjectsPerTenant = 65536;
@@ -389,9 +384,8 @@ void mcat_bench_path(std::size_t idx, std::string& out) {
   for (int d = 43; d >= 38; --d, o /= 10) out[d] = static_cast<char>('0' + o % 10);
 }
 
-template <typename Catalog>
-Catalog& mcat_bench_catalog() {
-  static Catalog cat;
+srb::Mcat& mcat_bench_catalog() {
+  static srb::Mcat cat;
   static const bool loaded = [] {
     std::string path;
     for (int t = 0; t < kMcatTenants; ++t) {
@@ -411,13 +405,12 @@ Catalog& mcat_bench_catalog() {
   return cat;
 }
 
-template <typename Catalog>
-void mcat_resolve_loop(benchmark::State& state) {
-  Catalog& cat = mcat_bench_catalog<Catalog>();
+void BM_McatResolve(benchmark::State& state) {
+  srb::Mcat& cat = mcat_bench_catalog();
   constexpr std::size_t kTotal =
       static_cast<std::size_t>(kMcatTenants) * kMcatObjectsPerTenant;
   // Per-thread pseudo-random walk over the catalog; distinct starts keep
-  // threads from marching through the same stripe sequence in lockstep.
+  // threads from marching through the same paths in lockstep.
   std::size_t i = static_cast<std::size_t>(state.thread_index()) * 7919;
   const std::size_t stride = 2654435761u;
   std::string path;
@@ -435,15 +428,7 @@ void mcat_resolve_loop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-void BM_McatResolveFlat(benchmark::State& state) {
-  mcat_resolve_loop<srb::FlatMcat>(state);
-}
-BENCHMARK(BM_McatResolveFlat)->Threads(1)->Threads(8)->UseRealTime();
-
-void BM_McatResolveSharded(benchmark::State& state) {
-  mcat_resolve_loop<srb::Mcat>(state);
-}
-BENCHMARK(BM_McatResolveSharded)->Threads(1)->Threads(8)->UseRealTime();
+BENCHMARK(BM_McatResolve)->Threads(1)->Threads(8)->UseRealTime();
 
 // --- JSON capture ------------------------------------------------------------
 

@@ -112,10 +112,7 @@ int main(int argc, char** argv) {
     eo.readahead_blocks = static_cast<int>(opts.get_int("readahead", 0));
     eo.writeback_hwm =
         static_cast<std::size_t>(opts.get_int("writeback-kb", 0)) << 10;
-    if (opts.has("sieve")) {
-      eo.sieve = true;
-      eo.sieve_mode = sieve_mode_from(opts.get("sieve"));
-    }
+    if (opts.has("sieve")) eo.sieve_mode = sieve_mode_from(opts.get("sieve"));
     eo.sieve_hull_bytes =
         static_cast<std::size_t>(opts.get_int("sieve-hull-kb", 0)) << 10;
     const wk::ExecResult r = wk::execute(tb, *gen, eo);

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "common/error.hpp"
 #include "simnet/timescale.hpp"
 
 namespace remio::semplar {
@@ -285,41 +284,23 @@ bool AsyncEngine::handle_failure(Item* item, std::exception_ptr err) {
     finish(item, 0, err);
     return true;
   }
-  const remio::Status st = remio::status_from_exception(err);
-  if (!st.retryable() || item->attempt + 1 >= retry_.max_attempts) {
-    finish(item, 0, err);
-    return true;
-  }
-  const double delay = backoff_.delay(item->attempt);
-  if (retry_.op_deadline > 0.0 &&
-      simnet::sim_now() - item->start_sim + delay > retry_.op_deadline) {
-    if (stats_ != nullptr) stats_->add_deadline_expiration();
-    finish(item, 0,
-           std::make_exception_ptr(mpiio::IoError(
-               {remio::ErrorDomain::kDeadline, 0, /*retryable=*/false,
-                "supervise"},
-               "op deadline (" + std::to_string(retry_.op_deadline) +
-                   "s sim) exceeded after " +
-                   std::to_string(item->attempt + 1) +
-                   " attempts: " + st.message())));
+  const RetryVerdict v = retry_verdict(retry_, backoff_, stats_, err,
+                                      item->attempt, item->start_sim);
+  if (v.error != nullptr) {
+    finish(item, 0, v.error);
     return true;
   }
   ++item->attempt;
-  if (stats_ != nullptr) {
-    stats_->add_backoff(delay);
-    stats_->add_replayed_op();
-    if (st.domain() == remio::ErrorDomain::kIntegrity)
-      stats_->add_integrity_retry();
-  }
   const double now = simnet::sim_now();
+  const double due = now + v.delay;
   if (tracer_ != nullptr) {
-    // The parked interval [now, now + delay): visible in the trace as a
+    // The parked interval [now, due): visible in the trace as a
     // backoff lane under the same op id as the task being replayed.
     obs::Span park;
     park.op_id = item->span.op_id;
     park.kind = obs::SpanKind::kBackoff;
     park.enqueue = park.dequeue = park.wire_start = now;
-    park.wire_end = now + delay;
+    park.wire_end = due;
     tracer_->record(park);
   }
   {
@@ -328,7 +309,7 @@ bool AsyncEngine::handle_failure(Item* item, std::exception_ptr err) {
       if (!timer_.joinable()) timer_ = std::thread([this] { timer_loop(); });
       if (tracer_ != nullptr)
         tracer_->gauge(obs::GaugeId::kDeferredBacklog).add(1);
-      deferred_.push(Deferred{now + delay, item});
+      deferred_.push(Deferred{due, item});
       timer_cv_.notify_one();
       return false;
     }

@@ -287,7 +287,7 @@ std::vector<std::vector<Piece>> partition(const ExtentList& extents,
 
 SemplarFile::Strategy SemplarFile::pick_strategy(
     const ExtentList& extents) const {
-  if (!cfg_.sieve.enabled || extents.size() == 1) return Strategy::kNaive;
+  if (extents.size() == 1) return Strategy::kNaive;
   switch (cfg_.sieve.mode) {
     case Config::Sieve::Mode::kNaive: return Strategy::kNaive;
     case Config::Sieve::Mode::kSieve: return Strategy::kSieve;

@@ -184,26 +184,10 @@ auto StreamPool::once(int requested, Fn&& fn) {
 
 void StreamPool::backoff_or_rethrow(std::exception_ptr err, int attempt,
                                     double start) {
-  const remio::Status st = remio::status_from_exception(err);
-  if (!st.retryable() || attempt + 1 >= cfg_.retry.max_attempts)
-    std::rethrow_exception(err);
-  const double delay = backoff_.delay(attempt);
-  if (cfg_.retry.op_deadline > 0.0 &&
-      simnet::sim_now() - start + delay > cfg_.retry.op_deadline) {
-    if (stats_ != nullptr) stats_->add_deadline_expiration();
-    throw mpiio::IoError(
-        {remio::ErrorDomain::kDeadline, 0, /*retryable=*/false, "supervise"},
-        "op deadline (" + std::to_string(cfg_.retry.op_deadline) +
-            "s sim) exceeded after " + std::to_string(attempt + 1) +
-            " attempts: " + st.message());
-  }
-  if (stats_ != nullptr) {
-    stats_->add_backoff(delay);
-    stats_->add_replayed_op();
-    if (st.domain() == remio::ErrorDomain::kIntegrity)
-      stats_->add_integrity_retry();
-  }
-  simnet::sleep_sim(delay);
+  const RetryVerdict v =
+      retry_verdict(cfg_.retry, backoff_, stats_, err, attempt, start);
+  if (v.error != nullptr) std::rethrow_exception(v.error);
+  simnet::sleep_sim(v.delay);
 }
 
 namespace {

@@ -1,361 +1,61 @@
 #include "srb/mcat.hpp"
 
-#include <algorithm>
-#include <cstring>
-
 namespace remio::srb {
-
-namespace {
-
-/// Power-of-two clamp for the directory width.
-std::size_t pow2_at_least(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-bool already_normalized(const std::string& path) {
-  if (path.empty() || path[0] != '/') return false;
-  if (path.size() > 1 && path.back() == '/') return false;
-  return path.find("//", 1) == std::string::npos;
-}
-
-}  // namespace
-
-Mcat::Mcat(std::size_t segments) {
-  const std::size_t n = pow2_at_least(segments == 0 ? 1 : segments);
-  dir_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto s = std::make_unique<Segment>();
-    s->buckets.resize(kInitialBuckets);
-    dir_.push_back(std::move(s));
-  }
-  seg_mask_ = n - 1;
-  // "/" always exists as a collection.
-  const std::uint64_t h = hash_path("/");
-  insert_entry(*dir_[segment_of(h)], Entry{"/", /*is_object=*/false, {}}, h);
-}
 
 std::string Mcat::normalize(const std::string& path) {
   std::string out = "/";
   for (char c : path) {
-    if (c == '/' && !out.empty() && out.back() == '/') continue;
+    if (c == '/' && out.back() == '/') continue;
     out.push_back(c);
   }
   if (out.size() > 1 && out.back() == '/') out.pop_back();
   return out;
 }
 
-const std::string& Mcat::normalized_ref(const std::string& path,
-                                        std::string& scratch) {
-  if (already_normalized(path)) return path;
-  scratch = normalize(path);
-  return scratch;
-}
-
 std::string Mcat::parent_of(const std::string& path) {
   const std::string p = normalize(path);
   const auto slash = p.find_last_of('/');
-  if (slash == 0 || slash == std::string::npos) return "/";
-  return p.substr(0, slash);
-}
-
-std::uint64_t Mcat::hash_path(const std::string& p) {
-  // Word-at-a-time multiply-xor (8 bytes per round instead of FNV's one —
-  // paths are 40-60 chars and this sits on the resolve hot path), with a
-  // murmur-style avalanche so both the directory bits (high half) and the
-  // bucket bits (low half) are well mixed. Stable across runs and builds.
-  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
-  std::uint64_t h = 1469598103934665603ULL ^ (p.size() * kMul);
-  const char* d = p.data();
-  std::size_t n = p.size();
-  while (n >= 8) {
-    std::uint64_t w;
-    std::memcpy(&w, d, 8);
-    h = (h ^ w) * kMul;
-    h ^= h >> 29;
-    d += 8;
-    n -= 8;
-  }
-  if (n > 0) {
-    std::uint64_t w = 0;
-    std::memcpy(&w, d, n);
-    h = (h ^ w) * kMul;
-  }
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  return h;
-}
-
-std::size_t Mcat::segment_index(const std::string& normalized) const {
-  // Directory bits come from the high half, bucket bits from the low half,
-  // so a segment's private rehash never correlates with its stripe choice.
-  return segment_of(hash_path(normalized));
-}
-
-void Mcat::mirror_key(Bucket& b) {
-  const std::string& p = b.one.path;
-  if (p.size() <= kInlineKey) {
-    b.klen = static_cast<std::uint8_t>(p.size());
-    std::memcpy(b.key, p.data(), p.size());
-  } else {
-    b.klen = 0;
-  }
-}
-
-bool Mcat::one_matches(const Bucket& b, const std::string& p) {
-  if (b.klen != 0)
-    return b.klen == p.size() && std::memcmp(b.key, p.data(), p.size()) == 0;
-  return b.one.path == p;
-}
-
-Mcat::Entry* Mcat::find_entry(Segment& s, const std::string& p,
-                              std::uint64_t h) {
-  Bucket& b =
-      s.buckets[static_cast<std::size_t>(h) & (s.buckets.size() - 1)];
-  if (!b.used) return nullptr;
-  if (one_matches(b, p)) return &b.one;
-  for (Entry& e : b.overflow)
-    if (e.path == p) return &e;
-  return nullptr;
-}
-
-const Mcat::Entry* Mcat::find_entry(const Segment& s, const std::string& p,
-                                    std::uint64_t h) {
-  return find_entry(const_cast<Segment&>(s), p, h);
-}
-
-void Mcat::insert_entry(Segment& s, Entry e, std::uint64_t h) {
-  maybe_grow(s);
-  Bucket& b =
-      s.buckets[static_cast<std::size_t>(h) & (s.buckets.size() - 1)];
-  if (!b.used) {
-    b.one = std::move(e);
-    b.used = true;
-    mirror_key(b);
-  } else {
-    b.overflow.push_back(std::move(e));
-  }
-  ++s.entries;
-}
-
-bool Mcat::erase_entry(Segment& s, const std::string& p, std::uint64_t h) {
-  Bucket& b =
-      s.buckets[static_cast<std::size_t>(h) & (s.buckets.size() - 1)];
-  if (!b.used) return false;
-  if (one_matches(b, p)) {
-    if (b.overflow.empty()) {
-      b.one = Entry{};
-      b.used = false;
-      b.klen = 0;
-    } else {
-      b.one = std::move(b.overflow.back());
-      b.overflow.pop_back();
-      mirror_key(b);
-    }
-    --s.entries;
-    return true;
-  }
-  for (std::size_t i = 0; i < b.overflow.size(); ++i) {
-    if (b.overflow[i].path == p) {
-      b.overflow[i] = std::move(b.overflow.back());
-      b.overflow.pop_back();
-      --s.entries;
-      return true;
-    }
-  }
-  return false;
-}
-
-void Mcat::maybe_grow(Segment& s) {
-  if (s.entries + 1 <= kMaxLoad * s.buckets.size()) return;
-  std::vector<Bucket> grown(s.buckets.size() * 2);
-  auto place = [&grown](Entry&& e) {
-    Bucket& nb = grown[static_cast<std::size_t>(hash_path(e.path)) &
-                       (grown.size() - 1)];
-    if (!nb.used) {
-      nb.one = std::move(e);
-      nb.used = true;
-      mirror_key(nb);
-    } else {
-      nb.overflow.push_back(std::move(e));
-    }
-  };
-  for (Bucket& b : s.buckets) {
-    if (b.used) place(std::move(b.one));
-    for (Entry& e : b.overflow) place(std::move(e));
-  }
-  s.buckets.swap(grown);
-}
-
-std::vector<std::unique_lock<std::shared_mutex>> Mcat::lock_segments(
-    const std::vector<const std::string*>& keys) {
-  std::vector<std::size_t> idx;
-  idx.reserve(keys.size());
-  for (const std::string* k : keys) idx.push_back(segment_index(*k));
-  std::sort(idx.begin(), idx.end());
-  idx.erase(std::unique(idx.begin(), idx.end()), idx.end());
-  std::vector<std::unique_lock<std::shared_mutex>> locks;
-  locks.reserve(idx.size());
-  for (const std::size_t i : idx) locks.emplace_back(dir_[i]->mu);
-  return locks;
+  return slash == 0 ? "/" : p.substr(0, slash);
 }
 
 bool Mcat::make_collection(const std::string& path) {
   const std::string p = normalize(path);
-  // Every ancestor (and p itself) participates: gather the prefixes, lock
-  // their stripes exclusively in directory order, then apply.
-  std::vector<std::string> prefixes;
-  prefixes.push_back("/");
-  std::size_t pos = 1;
-  while (pos <= p.size() && p.size() > 1) {
-    const auto next = p.find('/', pos);
-    const std::size_t end = next == std::string::npos ? p.size() : next;
-    prefixes.push_back(p.substr(0, end));
-    pos = end + 1;
+  std::lock_guard lk(mu_);
+  if (objects_.count(p) != 0) return false;  // an object shadows the name
+  // Every '/'-bounded prefix; an object mid-path keeps its name.
+  for (auto end = p.find('/', 1);; end = p.find('/', end + 1)) {
+    std::string prefix = p.substr(0, end);
+    if (objects_.count(prefix) == 0) collections_.insert(std::move(prefix));
+    if (end == std::string::npos) return true;
   }
-  std::vector<const std::string*> keys;
-  keys.reserve(prefixes.size());
-  for (const auto& pre : prefixes) keys.push_back(&pre);
-  const auto locks = lock_segments(keys);
-
-  const std::uint64_t hp = hash_path(p);
-  const Entry* at = find_entry(*dir_[segment_of(hp)], p, hp);
-  if (at != nullptr && at->is_object) return false;  // an object shadows it
-  for (const auto& pre : prefixes) {
-    const std::uint64_t h = hash_path(pre);
-    Segment& s = *dir_[segment_of(h)];
-    const Entry* e = find_entry(s, pre, h);
-    if (e == nullptr)
-      insert_entry(s, Entry{pre, /*is_object=*/false, {}}, h);
-    // An object mid-path is skipped, matching the flat reference.
-  }
-  return true;
-}
-
-bool Mcat::collection_exists(const std::string& path) const {
-  std::string scratch;
-  const std::string& p = normalized_ref(path, scratch);
-  const std::uint64_t h = hash_path(p);
-  const Segment& s = *dir_[segment_of(h)];
-  std::shared_lock lk(s.mu);
-  const Entry* e = find_entry(s, p, h);
-  return e != nullptr && !e->is_object;
 }
 
 std::optional<ObjectId> Mcat::register_object(const std::string& path,
                                               const std::string& resource) {
   const std::string p = normalize(path);
-  const std::string parent = parent_of(p);
-  const auto locks = lock_segments({&p, &parent});
-
-  const std::uint64_t hpar = hash_path(parent);
-  const Entry* pe = find_entry(*dir_[segment_of(hpar)], parent, hpar);
-  if (pe == nullptr || pe->is_object) return std::nullopt;
-  const std::uint64_t h = hash_path(p);
-  Segment& s = *dir_[segment_of(h)];
-  if (find_entry(s, p, h) != nullptr) return std::nullopt;
-
-  Entry e;
-  e.path = p;
-  e.is_object = true;
-  e.meta.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  e.meta.resource = resource;
-  const ObjectId id = e.meta.id;
-  insert_entry(s, std::move(e), h);
-  object_count_.fetch_add(1, std::memory_order_relaxed);
-  return id;
-}
-
-std::optional<ObjectId> Mcat::resolve(const std::string& path) const {
-  std::string scratch;
-  const std::string& p = normalized_ref(path, scratch);
-  const std::uint64_t h = hash_path(p);
-  const Segment& s = *dir_[segment_of(h)];
-  std::shared_lock lk(s.mu);
-  const Entry* e = find_entry(s, p, h);
-  if (e == nullptr || !e->is_object) return std::nullopt;
-  return e->meta.id;
-}
-
-std::optional<ObjectMeta> Mcat::meta(const std::string& path) const {
-  std::string scratch;
-  const std::string& p = normalized_ref(path, scratch);
-  const std::uint64_t h = hash_path(p);
-  const Segment& s = *dir_[segment_of(h)];
-  std::shared_lock lk(s.mu);
-  const Entry* e = find_entry(s, p, h);
-  if (e == nullptr || !e->is_object) return std::nullopt;
-  return e->meta;
-}
-
-std::optional<ObjectId> Mcat::unregister_object(const std::string& path) {
-  std::string scratch;
-  const std::string& p = normalized_ref(path, scratch);
-  const std::uint64_t h = hash_path(p);
-  Segment& s = *dir_[segment_of(h)];
-  std::unique_lock lk(s.mu);
-  Entry* e = find_entry(s, p, h);
-  if (e == nullptr || !e->is_object) return std::nullopt;
-  const ObjectId id = e->meta.id;
-  erase_entry(s, p, h);
-  object_count_.fetch_sub(1, std::memory_order_relaxed);
-  return id;
-}
-
-bool Mcat::set_attr(const std::string& path, const std::string& key,
-                    const std::string& value) {
-  std::string scratch;
-  const std::string& p = normalized_ref(path, scratch);
-  const std::uint64_t h = hash_path(p);
-  Segment& s = *dir_[segment_of(h)];
-  std::unique_lock lk(s.mu);
-  Entry* e = find_entry(s, p, h);
-  if (e == nullptr || !e->is_object) return false;
-  e->meta.attrs[key] = value;
-  return true;
-}
-
-std::optional<std::string> Mcat::get_attr(const std::string& path,
-                                          const std::string& key) const {
-  std::string scratch;
-  const std::string& p = normalized_ref(path, scratch);
-  const std::uint64_t h = hash_path(p);
-  const Segment& s = *dir_[segment_of(h)];
-  std::shared_lock lk(s.mu);
-  const Entry* e = find_entry(s, p, h);
-  if (e == nullptr || !e->is_object) return std::nullopt;
-  const auto ait = e->meta.attrs.find(key);
-  if (ait == e->meta.attrs.end()) return std::nullopt;
-  return ait->second;
+  std::lock_guard lk(mu_);
+  if (collections_.count(parent_of(p)) == 0 || objects_.count(p) != 0 ||
+      collections_.count(p) != 0)
+    return std::nullopt;
+  objects_[p] = ObjectMeta{next_id_, resource, {}};
+  return next_id_++;
 }
 
 std::vector<std::string> Mcat::list(const std::string& collection) const {
   const std::string base = normalize(collection);
   const std::string prefix = base == "/" ? "/" : base + "/";
   auto is_child = [&](const std::string& p) {
-    if (p.size() <= prefix.size() || p.compare(0, prefix.size(), prefix) != 0)
-      return false;
-    return p.find('/', prefix.size()) == std::string::npos;
+    return p.size() > prefix.size() &&
+           p.compare(0, prefix.size(), prefix) == 0 &&
+           p.find('/', prefix.size()) == std::string::npos;
   };
-  std::vector<std::string> objects;
-  std::vector<std::string> colls;
-  for (const auto& seg : dir_) {
-    std::shared_lock lk(seg->mu);
-    for (const Bucket& b : seg->buckets) {
-      if (b.used && is_child(b.one.path))
-        (b.one.is_object ? objects : colls).push_back(b.one.path);
-      for (const Entry& e : b.overflow)
-        if (is_child(e.path)) (e.is_object ? objects : colls).push_back(e.path);
-    }
-  }
-  // The flat reference emitted objects then collections, each in path
-  // order (its std::map / std::set iteration); reproduce that exactly.
-  std::sort(objects.begin(), objects.end());
-  std::sort(colls.begin(), colls.end());
-  objects.insert(objects.end(), colls.begin(), colls.end());
-  return objects;
+  std::vector<std::string> out;
+  std::lock_guard lk(mu_);
+  for (const auto& [p, meta] : objects_)
+    if (is_child(p)) out.push_back(p);
+  for (const auto& c : collections_)
+    if (is_child(c)) out.push_back(c);
+  return out;
 }
 
 }  // namespace remio::srb

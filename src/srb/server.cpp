@@ -1,6 +1,8 @@
 #include "srb/server.hpp"
 
+#include <cstring>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "common/extent.hpp"
@@ -9,9 +11,13 @@
 namespace remio::srb {
 namespace {
 
-/// Overwrites the little-endian u32 at `pos` (a length written ahead of the
+/// Where a reply's body starts: after the length prefix and the status.
+constexpr std::size_t kReplyHead = 8;
+
+/// Overwrites the little-endian `v` at `pos` (a field written ahead of the
 /// bytes it counts).
-void put_u32(Bytes& buf, std::size_t pos, std::uint32_t v) {
+template <class T>
+void put_at(Bytes& buf, std::size_t pos, T v) {
   std::memcpy(buf.data() + pos, &v, sizeof v);
 }
 
@@ -252,37 +258,19 @@ class SrbServer::Session {
     return true;
   }
 
+  // The four data verbs: each decodes its request into an extent list, runs
+  // the one transfer() body, and encodes its reply.
+
   bool handle_read(ByteReader& r) {
     const std::int32_t fd = r.i32();
     const std::int64_t offset = r.i64();
     const std::uint32_t len = r.u32();
     if (!r.ok() || len > kMaxMessage / 2) return proto_error();
-    const auto it = fds_.find(fd);
-    if (it == fds_.end()) {
-      reply(Status::kBadFd);
-      return true;
-    }
-    FdState& st = it->second;
-    if ((st.flags & kRead) == 0) {
-      reply(Status::kInvalid);
-      return true;
-    }
-    OpGuard guard(server_, tenant_);
-    if (!guard.admitted()) {
-      reply(Status::kQuotaExceeded);
-      return true;
-    }
-    const std::uint64_t at = offset >= 0 ? static_cast<std::uint64_t>(offset) : st.fp;
-    // The store reads straight into the reply frame, at the blob's offset.
-    Bytes frame = reply_frame(Status::kOk, 4 + len);
-    const std::size_t data_at = frame.size() + 4;
-    frame.resize(data_at + len);
-    const std::size_t n = server_.store_.pread(
-        st.object, MutByteSpan(frame.data() + data_at, len), at);
-    frame.resize(data_at + n);
-    put_u32(frame, data_at - 4, static_cast<std::uint32_t>(n));
-    if (offset < 0) st.fp = at + n;
-    send(std::move(frame));
+    ExtentList xs{plain_extent(offset, len)};
+    auto frame = transfer(/*write=*/false, fd, xs, offset < 0, {}, 4);
+    if (!frame) return true;
+    put_at(*frame, kReplyHead, static_cast<std::uint32_t>(xs[0].len));
+    send(std::move(*frame));
     return true;
   }
 
@@ -292,75 +280,11 @@ class SrbServer::Session {
     // Zero-copy: the payload is written straight from the request frame.
     const ByteSpan data = r.blob_view();
     if (!r.ok()) return proto_error();
-    const auto it = fds_.find(fd);
-    if (it == fds_.end()) {
-      reply(Status::kBadFd);
-      return true;
-    }
-    FdState& st = it->second;
-    if ((st.flags & kWrite) == 0) {
-      reply(Status::kInvalid);
-      return true;
-    }
-    OpGuard guard(server_, tenant_);
-    if (!guard.admitted()) {
-      reply(Status::kQuotaExceeded);
-      return true;
-    }
-    const std::uint64_t at = offset >= 0 ? static_cast<std::uint64_t>(offset) : st.fp;
-    std::uint64_t reserved = 0;
-    if (tenant_ != nullptr) {
-      // Reserve the prospective growth up front (racy size estimate keeps
-      // enforcement prompt), then settle against the exact growth below.
-      const std::uint64_t cur = server_.store_.size(st.object);
-      const std::uint64_t end = at + data.size();
-      reserved = end > cur ? end - cur : 0;
-      if (reserved > 0 && !tenant_->try_charge_bytes(reserved)) {
-        reply(Status::kQuotaExceeded);
-        return true;
-      }
-    }
-    const std::uint64_t growth = server_.store_.pwrite(st.object, data, at);
-    if (tenant_ != nullptr)
-      tenant_->adjust_bytes(static_cast<std::int64_t>(growth) -
-                            static_cast<std::int64_t>(reserved));
-    if (offset < 0) st.fp = at + data.size();
-
-    Bytes frame = reply_frame(Status::kOk, 4);
-    ByteWriter(frame).u32(static_cast<std::uint32_t>(data.size()));
-    send(std::move(frame));
-    return true;
-  }
-
-  /// Parses and validates the extent header shared by both list verbs.
-  /// Returns false on a violation (after replying kInvalid, which keeps
-  /// the session alive — the frame was fully received, so framing is
-  /// intact). That covers extent arrays truncated *inside* a complete
-  /// frame too: the length prefix was honoured, so the inconsistency is
-  /// semantic, not a framing loss.
-  bool parse_extent_list(ByteReader& r, std::uint32_t count,
-                         std::vector<Extent>& out, std::uint64_t& sum) {
-    out.clear();
-    out.reserve(count);
-    sum = 0;
-    std::uint64_t watermark = 0;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::uint64_t offset = r.u64();
-      const std::uint32_t len = r.u32();
-      out.push_back({offset, len});
-      sum += len;
-    }
-    if (!r.ok()) {
-      reply(Status::kInvalid);
-      return false;
-    }
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (out[i].len == 0 || (i > 0 && out[i].offset < watermark)) {
-        reply(Status::kInvalid);
-        return false;
-      }
-      watermark = out[i].end();
-    }
+    ExtentList xs{plain_extent(offset, data.size())};
+    auto frame = transfer(/*write=*/true, fd, xs, offset < 0, data, 4);
+    if (!frame) return true;
+    put_at(*frame, kReplyHead, static_cast<std::uint32_t>(data.size()));
+    send(std::move(*frame));
     return true;
   }
 
@@ -368,54 +292,22 @@ class SrbServer::Session {
     const std::int32_t fd = r.i32();
     const std::uint32_t count = r.u32();
     if (!r.ok()) return proto_error();
-    if (count == 0 || count > kMaxListExtents) {
+    ExtentList xs;
+    if (!read_extents(r, count, xs)) return true;
+    if (total_bytes(xs) > kMaxMessage / 2) {
       reply(Status::kInvalid);
       return true;
     }
-    std::vector<Extent> extents;
-    std::uint64_t sum = 0;
-    if (!parse_extent_list(r, count, extents, sum)) return true;
-    if (sum > kMaxMessage / 2) {
-      reply(Status::kInvalid);
-      return true;
-    }
-    const auto it = fds_.find(fd);
-    if (it == fds_.end()) {
-      reply(Status::kBadFd);
-      return true;
-    }
-    FdState& st = it->second;
-    if ((st.flags & kRead) == 0) {
-      reply(Status::kInvalid);
-      return true;
-    }
-    OpGuard guard(server_, tenant_);
-    if (!guard.admitted()) {
-      reply(Status::kQuotaExceeded);
-      return true;
-    }
-    // Response: per-extent actual lengths, then the read bytes concatenated
-    // (short extents contribute only their actual bytes). The store reads
-    // straight into the reply frame.
-    const std::size_t lens_bytes = 4 * std::size_t{count};
-    Bytes frame = reply_frame(Status::kOk, 4 + lens_bytes + sum);
-    ByteWriter(frame).u32(count);
-    const std::size_t lens_at = frame.size();
-    const std::size_t data_at = lens_at + lens_bytes;
-    frame.resize(data_at + sum);
-    std::size_t filled = 0;
-    for (std::size_t i = 0; i < extents.size(); ++i) {
-      const Extent& x = extents[i];
-      const std::size_t n = server_.store_.pread(
-          st.object,
-          MutByteSpan(frame.data() + data_at + filled,
-                      static_cast<std::size_t>(x.len)),
-          x.offset);
-      put_u32(frame, lens_at + 4 * i, static_cast<std::uint32_t>(n));
-      filled += n;
-    }
-    frame.resize(data_at + filled);
-    send(std::move(frame));
+    // Reply: per-extent actual lengths, then the read bytes concatenated
+    // (short extents contribute only their actual bytes).
+    auto frame = transfer(/*write=*/false, fd, xs, /*at_fp=*/false, {},
+                          4 + 4 * xs.size());
+    if (!frame) return true;
+    put_at(*frame, kReplyHead, count);
+    for (std::size_t i = 0; i < xs.size(); ++i)
+      put_at(*frame, kReplyHead + 4 + 4 * i,
+             static_cast<std::uint32_t>(xs[i].len));
+    send(std::move(*frame));
     return true;
   }
 
@@ -423,62 +315,115 @@ class SrbServer::Session {
     const std::int32_t fd = r.i32();
     const std::uint32_t count = r.u32();
     if (!r.ok()) return proto_error();
-    if (count == 0 || count > kMaxListExtents) {
-      reply(Status::kInvalid);
-      return true;
-    }
-    std::vector<Extent> extents;
-    std::uint64_t sum = 0;
-    if (!parse_extent_list(r, count, extents, sum)) return true;
+    ExtentList xs;
+    if (!read_extents(r, count, xs)) return true;
     // Zero-copy: the concatenated payload is scattered straight from the
     // request frame. A length mismatch is a fully-received-but-inconsistent
     // frame: reject without killing the session.
     const ByteSpan data = r.rest();
-    if (data.size() != sum) {
+    if (data.size() != total_bytes(xs)) {
       reply(Status::kInvalid);
       return true;
     }
+    auto frame = transfer(/*write=*/true, fd, xs, /*at_fp=*/false, data, 8);
+    if (!frame) return true;
+    put_at(*frame, kReplyHead, std::uint64_t{data.size()});
+    send(std::move(*frame));
+    return true;
+  }
+
+  /// A plain verb's one extent. A negative offset means "at the file
+  /// pointer"; transfer() fills that in once the fd is known.
+  static Extent plain_extent(std::int64_t offset, std::uint64_t len) {
+    return {offset >= 0 ? static_cast<std::uint64_t>(offset) : 0, len};
+  }
+
+  /// Reads a list verb's `count` extents into `xs` and validates them:
+  /// 1..kMaxListExtents extents, each nonempty, offset-sorted, disjoint, and
+  /// ending within u64 (an end() that wraps would pass the order check and
+  /// then address bytes before the object's buffer). A violation replies
+  /// kInvalid and returns false; the session lives on, because the frame
+  /// arrived whole — even an extent array truncated inside it is a semantic
+  /// fault, not a framing loss.
+  bool read_extents(ByteReader& r, std::uint32_t count, ExtentList& xs) {
+    bool ok = count != 0 && count <= kMaxListExtents;
+    if (ok) xs.reserve(count);
+    for (std::uint32_t i = 0; ok && i < count; ++i) {
+      const std::uint64_t offset = r.u64();
+      const std::uint64_t len = r.u32();
+      ok = r.ok() && len != 0 && offset <= UINT64_MAX - len &&
+           (xs.empty() || offset >= xs.back().end());
+      xs.push_back({offset, len});
+    }
+    if (!ok) reply(Status::kInvalid);
+    return ok;
+  }
+
+  /// The one body of the four data verbs: fd lookup, the kRead/kWrite
+  /// check, tenant admission and growth accounting, and the store loop over
+  /// the offset-sorted extents `xs` (a write scatters `data` across them).
+  /// With `at_fp` the single extent starts at the fd's file pointer, which
+  /// then advances past the bytes moved; the pointer only grows by bytes
+  /// the store holds or by a seek below 2^63, so that extent cannot wrap.
+  /// Returns the kOk reply frame with `head` bytes after the status for the
+  /// verb to fill; a read's bytes follow them, preaded straight into the
+  /// frame, and each extent's len becomes the bytes actually read. A refused
+  /// op has been answered and returns nullopt.
+  std::optional<Bytes> transfer(bool write, std::int32_t fd, ExtentList& xs,
+                                bool at_fp, ByteSpan data, std::size_t head) {
     const auto it = fds_.find(fd);
     if (it == fds_.end()) {
       reply(Status::kBadFd);
-      return true;
+      return std::nullopt;
     }
     FdState& st = it->second;
-    if ((st.flags & kWrite) == 0) {
+    if ((st.flags & (write ? kWrite : kRead)) == 0) {
       reply(Status::kInvalid);
-      return true;
+      return std::nullopt;
     }
     OpGuard guard(server_, tenant_);
     if (!guard.admitted()) {
       reply(Status::kQuotaExceeded);
-      return true;
+      return std::nullopt;
     }
+    if (at_fp) xs[0].offset = st.fp;
+    ObjectStore& store = server_.store_;
     std::uint64_t reserved = 0;
-    if (tenant_ != nullptr) {
+    if (write && tenant_ != nullptr) {
+      // Reserve the prospective growth up front (racy size estimate keeps
+      // enforcement prompt), then settle against the exact growth below.
       // The extents are offset-sorted, so the last one bounds the new EOF.
-      const std::uint64_t cur = server_.store_.size(st.object);
-      const std::uint64_t end = extents.back().end();
+      const std::uint64_t cur = store.size(st.object);
+      const std::uint64_t end = xs.back().end();
       reserved = end > cur ? end - cur : 0;
       if (reserved > 0 && !tenant_->try_charge_bytes(reserved)) {
         reply(Status::kQuotaExceeded);
-        return true;
+        return std::nullopt;
       }
     }
-    std::size_t consumed = 0;
+    const std::uint64_t data_bytes = write ? 0 : total_bytes(xs);
+    Bytes frame = reply_frame(Status::kOk, head + data_bytes);
+    const std::size_t data_at = frame.size() + head;
+    frame.resize(data_at + data_bytes);
+    std::size_t done = 0;
     std::uint64_t growth = 0;
-    for (const Extent& x : extents) {
-      growth += server_.store_.pwrite(
-          st.object, data.subspan(consumed, static_cast<std::size_t>(x.len)),
-          x.offset);
-      consumed += x.len;
+    for (Extent& x : xs) {
+      const auto n = static_cast<std::size_t>(x.len);
+      if (write) {
+        growth += store.pwrite(st.object, data.subspan(done, n), x.offset);
+      } else {
+        x.len = store.pread(st.object,
+                            MutByteSpan(frame.data() + data_at + done, n),
+                            x.offset);
+      }
+      done += x.len;
     }
-    if (tenant_ != nullptr)
+    frame.resize(data_at + (write ? 0 : done));
+    if (write && tenant_ != nullptr)
       tenant_->adjust_bytes(static_cast<std::int64_t>(growth) -
                             static_cast<std::int64_t>(reserved));
-    Bytes frame = reply_frame(Status::kOk, 8);
-    ByteWriter(frame).u64(sum);
-    send(std::move(frame));
-    return true;
+    if (at_fp) st.fp = xs[0].end();
+    return frame;
   }
 
   bool handle_seek(ByteReader& r) {
@@ -494,14 +439,17 @@ class SrbServer::Session {
     FdState& st = it->second;
     std::int64_t base = 0;
     switch (whence) {
-      case Whence::kSet: base = 0; break;
+      case Whence::kSet: break;
       case Whence::kCur: base = static_cast<std::int64_t>(st.fp); break;
       case Whence::kEnd:
         base = static_cast<std::int64_t>(server_.store_.size(st.object));
         break;
+      default:  // not a Whence: the byte came off the wire
+        reply(Status::kInvalid);
+        return true;
     }
-    const std::int64_t pos = base + off;
-    if (pos < 0) {
+    std::int64_t pos = 0;
+    if (__builtin_add_overflow(base, off, &pos) || pos < 0) {
       reply(Status::kInvalid);
       return true;
     }

@@ -1,6 +1,9 @@
 // Metadata catalog (MCAT) unit tests: namespace, attributes, listing.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "srb/mcat.hpp"
 
 namespace remio::srb {
@@ -59,6 +62,31 @@ TEST(Mcat, ObjectShadowsCollectionName) {
   EXPECT_FALSE(m.register_object("/c", "disk").has_value());  // collection taken
 }
 
+TEST(Mcat, IdsAllocatedOnlyBySuccessfulRegister) {
+  Mcat m;
+  m.make_collection("/c");
+  const auto a = m.register_object("/c/a", "disk");
+  ASSERT_TRUE(a.has_value());
+  EXPECT_FALSE(m.register_object("/c/a", "disk").has_value());     // taken
+  EXPECT_FALSE(m.register_object("/none/b", "disk").has_value());  // no parent
+  EXPECT_FALSE(m.register_object("/c", "disk").has_value());  // a collection
+  EXPECT_EQ(m.register_object("/c/b", "disk"), *a + 1);
+  m.unregister_object("/c/a");
+  EXPECT_EQ(m.register_object("/c/a", "disk"), *a + 2);  // never reused
+}
+
+TEST(Mcat, ObjectVerbsDoNotSeeCollections) {
+  Mcat m;
+  m.make_collection("/c/sub");
+  EXPECT_FALSE(m.resolve("/c/sub").has_value());
+  EXPECT_FALSE(m.meta("/c/sub").has_value());
+  EXPECT_FALSE(m.set_attr("/c/sub", "k", "v"));
+  EXPECT_FALSE(m.get_attr("/c/sub", "k").has_value());
+  EXPECT_FALSE(m.unregister_object("/c/sub").has_value());
+  EXPECT_TRUE(m.collection_exists("/c/sub"));
+  EXPECT_EQ(m.object_count(), 0u);
+}
+
 TEST(Mcat, UnregisterFreesName) {
   Mcat m;
   m.make_collection("/c");
@@ -92,6 +120,16 @@ TEST(Mcat, ListImmediateChildrenOnly) {
   EXPECT_NE(std::find(kids.begin(), kids.end(), "/c/deep"), kids.end());
   const auto root = m.list("/");
   EXPECT_EQ(root.size(), 1u);  // just "/c"
+}
+
+TEST(Mcat, ListOrdersObjectsThenCollections) {
+  Mcat m;
+  m.make_collection("/c/b");
+  m.make_collection("/c/a");
+  m.register_object("/c/z", "disk");
+  m.register_object("/c/y", "disk");
+  EXPECT_EQ(m.list("/c"),
+            (std::vector<std::string>{"/c/y", "/c/z", "/c/a", "/c/b"}));
 }
 
 TEST(Mcat, MetaCarriesResource) {

@@ -1,17 +1,16 @@
 // Concurrent MCAT battery: randomized multi-thread
-// register/resolve/unregister/set_attr/list storms checked against the
-// single-mutex FlatMcat reference (tests/mcat_flat.hpp). Deliberately
-// NOT timing-labelled so the TSan CI lane runs every storm — this suite is
-// the pin that the lock-striped catalog refactor must pass unchanged.
+// register/resolve/unregister/set_attr/list storms. Deliberately NOT
+// timing-labelled so the TSan CI lane runs every storm.
 //
 // Checking strategy: a concurrent run cannot be diffed against a
 // sequential model op-for-op (interleavings differ), so the storms use
 // per-thread disjoint namespaces — each thread's op sequence is then
-// independent and is replayed verbatim against a fresh FlatMcat after the
-// join. Object ids are compared through a per-thread bijection (the
-// sharded catalog draws ids from one global counter, so absolute values
-// differ across threads). Cross-thread interference is exercised
-// separately with shared-hot-key storms checked by invariant.
+// independent and is replayed verbatim against a fresh Mcat after the
+// join; a lost or torn update shows up as a replay mismatch. Object ids
+// are compared through a per-thread bijection (the catalog draws ids from
+// one counter, so absolute values differ across threads). Cross-thread
+// interference is exercised separately with shared-hot-key storms checked
+// by invariant.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,7 +23,6 @@
 
 #include "common/rng.hpp"
 #include "srb/mcat.hpp"
-#include "mcat_flat.hpp"
 
 namespace remio::srb {
 namespace {
@@ -79,8 +77,7 @@ class IdBijection {
 };
 
 /// Runs one random op against `m`, recording args + result signature.
-template <typename Catalog>
-LoggedOp random_op(Catalog& m, Rng& rng, const std::string& root, int keys) {
+LoggedOp random_op(Mcat& m, Rng& rng, const std::string& root, int keys) {
   LoggedOp lo;
   lo.op = static_cast<McatOp>(rng.below(static_cast<std::uint64_t>(McatOp::kCount)));
   const int k = static_cast<int>(rng.below(static_cast<std::uint64_t>(keys)));
@@ -136,7 +133,7 @@ LoggedOp random_op(Catalog& m, Rng& rng, const std::string& root, int keys) {
 }
 
 /// Replays a logged op against the model and asserts the same signature.
-void replay_and_compare(FlatMcat& model, const LoggedOp& lo, IdBijection& ids) {
+void replay_and_compare(Mcat& model, const LoggedOp& lo, IdBijection& ids) {
   switch (lo.op) {
     case McatOp::kRegister: {
       const auto id = model.register_object(lo.path, "disk");
@@ -188,29 +185,10 @@ void replay_and_compare(FlatMcat& model, const LoggedOp& lo, IdBijection& ids) {
 }
 
 // ---------------------------------------------------------------------------
-// 1. Single-threaded equivalence fuzz: the catalog is drop-in equal to the
-//    flat reference, op for op, id for id (both allocate ids only on a
-//    successful register, starting at 1).
-// ---------------------------------------------------------------------------
-TEST(McatConcurrent, SingleThreadEquivalenceFuzz) {
-  Mcat dut;
-  FlatMcat model;
-  IdBijection ids;
-  Rng rng(0xfeedu);
-  ASSERT_TRUE(dut.make_collection("/t"));
-  ASSERT_TRUE(model.make_collection("/t"));
-  for (int i = 0; i < 20000; ++i) {
-    const LoggedOp lo = random_op(dut, rng, "/t", 32);
-    replay_and_compare(model, lo, ids);
-    ASSERT_EQ(dut.object_count(), model.object_count()) << "op " << i;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// 2. N threads in disjoint namespaces: each thread's log replays exactly
-//    against a private flat model. Any cross-thread corruption (a lock
-//    striping bug bleeding writes across segments) shows up as a replay
-//    mismatch or a TSan report.
+// 1. N threads in disjoint namespaces: each thread's log replays exactly
+//    against a fresh catalog. Any cross-thread corruption (a lost update,
+//    a write bleeding into another thread's namespace) shows up as a
+//    replay mismatch or a TSan report.
 // ---------------------------------------------------------------------------
 TEST(McatConcurrent, DisjointNamespaceStormMatchesSequentialReplay) {
   constexpr int kThreads = 8;
@@ -235,7 +213,7 @@ TEST(McatConcurrent, DisjointNamespaceStormMatchesSequentialReplay) {
   for (auto& th : threads) th.join();
 
   for (int t = 0; t < kThreads; ++t) {
-    FlatMcat model;
+    Mcat model;
     ASSERT_TRUE(model.make_collection("/t" + std::to_string(t)));
     IdBijection ids;
     for (const LoggedOp& lo : logs[static_cast<std::size_t>(t)])
@@ -244,7 +222,7 @@ TEST(McatConcurrent, DisjointNamespaceStormMatchesSequentialReplay) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Shared hot keys: every thread fights over the same 16 paths. No
+// 2. Shared hot keys: every thread fights over the same 16 paths. No
 //    sequential replay is possible; instead the final state must satisfy
 //    the catalog's own invariants.
 // ---------------------------------------------------------------------------
@@ -293,7 +271,7 @@ TEST(McatConcurrent, SharedHotKeyStormKeepsInvariants) {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Same-path register races: exactly one winner per round, and the
+// 3. Same-path register races: exactly one winner per round, and the
 //    winner's id is the one that resolves until it is unregistered.
 // ---------------------------------------------------------------------------
 TEST(McatConcurrent, RegisterRaceHasExactlyOneWinnerPerRound) {
@@ -324,10 +302,10 @@ TEST(McatConcurrent, RegisterRaceHasExactlyOneWinnerPerRound) {
 }
 
 // ---------------------------------------------------------------------------
-// 5. Overlapping deep collection trees: concurrent make_collection calls
-//    sharing ancestors must leave every ancestor existing (the multi-key
-//    op locks several stripes at once — this is the deadlock/atomicity
-//    probe for that path).
+// 4. Overlapping deep collection trees: concurrent make_collection calls
+//    sharing ancestors must leave every ancestor existing (make_collection
+//    creates several entries in one call — this is the atomicity probe for
+//    that path).
 // ---------------------------------------------------------------------------
 TEST(McatConcurrent, OverlappingDeepCollectionTrees) {
   constexpr int kThreads = 8;
@@ -362,7 +340,7 @@ TEST(McatConcurrent, OverlappingDeepCollectionTrees) {
 }
 
 // ---------------------------------------------------------------------------
-// 6. list() under churn: concurrent readers must always see a well-formed
+// 5. list() under churn: concurrent readers must always see a well-formed
 //    set of immediate children, never a torn path or a grandchild.
 // ---------------------------------------------------------------------------
 TEST(McatConcurrent, ListUnderChurnSeesOnlyWellFormedChildren) {

@@ -185,7 +185,6 @@ TEST_F(NoncontigTest, ListStrategyCutsRoundTripsVsNaive) {
 
   const auto wire_ops_for = [&](Config::Sieve::Mode mode) {
     Config cfg = base_config();
-    cfg.sieve.enabled = true;
     cfg.sieve.mode = mode;
     SemplarFile f(fabric_, cfg, "/strategy/obj",
                   mpiio::kModeRead | mpiio::kModeWrite | mpiio::kModeCreate |
@@ -214,7 +213,7 @@ TEST_F(NoncontigTest, ListStrategyCutsRoundTripsVsNaive) {
 
 TEST_F(NoncontigTest, AutoModePicksSieveForDenseAndListForSparse) {
   Config cfg = base_config();
-  cfg.sieve.enabled = true;  // mode defaults to kAuto
+  cfg.sieve.mode = Config::Sieve::Mode::kAuto;
   cfg.sieve.max_hull_bytes = 64 * 1024;
   cfg.obs.enabled = true;  // the strategy spans tell the two paths apart
   SemplarFile f(fabric_, cfg, "/auto/obj",
@@ -262,7 +261,6 @@ TEST_F(NoncontigTest, AutoModePicksSieveForDenseAndListForSparse) {
 
 TEST_F(NoncontigTest, SieveWritePreservesHoleBytes) {
   Config cfg = base_config();
-  cfg.sieve.enabled = true;
   cfg.sieve.mode = Config::Sieve::Mode::kSieve;
   SemplarFile f(fabric_, cfg, "/sieve/rmw",
                 mpiio::kModeRead | mpiio::kModeWrite | mpiio::kModeCreate |
@@ -306,7 +304,8 @@ TEST_F(NoncontigTest, SingleExtentReadvAccountsExactlyLikeReadAt) {
                      std::to_string(streams));
         Config cfg = base_config();
         cfg.obs.enabled = true;
-        cfg.sieve.enabled = true;  // must not matter for a 1-extent list
+        // Must not matter for a 1-extent list.
+        cfg.sieve.mode = Config::Sieve::Mode::kAuto;
         cfg.streams_per_node = streams;
         SemplarFile f(fabric_, cfg, "/parity/obj",
                       mpiio::kModeRead | mpiio::kModeWrite |
@@ -391,7 +390,6 @@ class NoncontigProperty : public NoncontigTest,
 TEST_P(NoncontigProperty, StridedViewMatchesFlatModel) {
   const NoncontigCase c = GetParam();
   Config cfg = base_config();
-  cfg.sieve.enabled = true;
   cfg.sieve.mode = c.mode;
   cfg.sieve.max_hull_bytes = 16 * 1024;  // auto mode exercises both paths
   if (c.cached) {

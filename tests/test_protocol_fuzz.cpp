@@ -3,6 +3,8 @@
 // cleanly, the server stays up, and well-behaved clients keep working.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -302,6 +304,44 @@ TEST_F(ListVerbFuzzTest, ReadListSumAboveReplyCapRejectedKeepsSession) {
   expect_server_alive();
 }
 
+TEST_F(ListVerbFuzzTest, ExtentEndPastU64RejectedKeepsSession) {
+  // offset + len wraps to 8: such an extent passes an order check on its
+  // wrapped end() and would address bytes before the object's buffer.
+  constexpr std::uint64_t kWraps =
+      std::numeric_limits<std::uint64_t>::max() - 7;
+  auto sock = raw_connect();
+  const std::int32_t fd = raw_open(*sock, "/lv/wrap");
+  const Bytes image = Rng(7).bytes(4096);
+  Bytes seed = list_header(fd, 1, {{0, 4096}});
+  ByteWriter(seed).raw(ByteSpan(image.data(), image.size()));
+  ASSERT_EQ(roundtrip(*sock, Op::kObjWriteList, seed), Status::kOk);
+
+  for (const auto& ext :
+       std::vector<std::vector<std::pair<std::uint64_t, std::uint32_t>>>{
+           {{kWraps, 16}}, {{0, 16}, {kWraps, 16}}}) {
+    const auto count = static_cast<std::uint32_t>(ext.size());
+    Bytes write = list_header(fd, count, ext);
+    const Bytes junk(16 * ext.size(), 'x');
+    ByteWriter(write).raw(ByteSpan(junk.data(), junk.size()));
+    EXPECT_EQ(roundtrip(*sock, Op::kObjWriteList, write), Status::kInvalid);
+    EXPECT_EQ(roundtrip(*sock, Op::kObjReadList, list_header(fd, count, ext)),
+              Status::kInvalid);
+  }
+
+  // The object's bytes are unchanged, read back on the same session.
+  Bytes resp;
+  ASSERT_EQ(roundtrip(*sock, Op::kObjReadList, list_header(fd, 1, {{0, 4096}}),
+                      &resp),
+            Status::kOk);
+  ByteReader r(ByteSpan(resp.data(), resp.size()));
+  EXPECT_EQ(r.u32(), 1u);
+  EXPECT_EQ(r.u32(), 4096u);
+  const ByteSpan back = r.rest();
+  EXPECT_EQ(Bytes(back.begin(), back.end()), image);
+  expect_session_alive(*sock, fd);
+  expect_server_alive();
+}
+
 TEST_F(ListVerbFuzzTest, RandomizedListFrameFuzzNeverKillsSession) {
   // Random counts / extents / payload sizes, always fully framed: whatever
   // the semantic verdict, the session must answer every frame and survive.
@@ -590,6 +630,33 @@ TEST_F(ProtocolFuzzTest, ReadLengthAboveCapRejected) {
   expect_server_alive();
 }
 
+TEST_F(ProtocolFuzzTest, SeekOverflowAndBadWhenceRejectedKeepsSession) {
+  SrbClient client(fabric_, "evil", "orion", 5544);
+  const auto fd = client.open("/seek", kRead | kWrite | kCreate);
+  const Bytes data = to_bytes("ping");
+  ASSERT_EQ(client.pwrite(fd, ByteSpan(data.data(), data.size()), 0), 4u);
+  const auto seek_status = [&](std::int64_t off, Whence whence) {
+    try {
+      client.seek(fd, off, whence);
+      return Status::kOk;
+    } catch (const SrbError& e) {
+      return e.status();
+    }
+  };
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(client.seek(fd, kMax, Whence::kSet), kMax);
+  EXPECT_EQ(seek_status(kMax, Whence::kCur), Status::kInvalid);  // fp + kMax
+  EXPECT_EQ(seek_status(kMax, Whence::kEnd), Status::kInvalid);  // 4 + kMax
+  EXPECT_EQ(seek_status(0, static_cast<Whence>(7)), Status::kInvalid);
+  // A refused seek leaves the file pointer alone, and the session serves on.
+  EXPECT_EQ(client.seek(fd, 0, Whence::kCur), kMax);
+  EXPECT_EQ(client.seek(fd, -4, Whence::kEnd), 0);
+  Bytes back(4);
+  EXPECT_EQ(client.read(fd, MutByteSpan(back.data(), back.size())), 4u);
+  EXPECT_EQ(back, data);
+  client.close(fd);
+  expect_server_alive();
+}
 
 // ---------------------------------------------------------------------------
 // Framing layout: frames built in place by start_frame/finish_frame carry
