@@ -64,6 +64,70 @@ std::uint32_t crc_sw(const unsigned char* p, std::size_t n, std::uint32_t crc) {
 }
 
 #if defined(REMIO_CRC32C_X86)
+/// Operator that advances a raw CRC register past `Len` zero bytes, as four
+/// byte-indexed tables: shift(crc) = z[0][b0] ^ z[1][b1] ^ z[2][b2] ^ z[3][b3].
+struct ZerosOp {
+  std::uint32_t z[4][256];
+};
+
+/// GF(2) 32x32 matrix (one column per input bit) applied to `vec`.
+constexpr std::uint32_t gf2_times(const std::uint32_t (&mat)[32],
+                                  std::uint32_t vec) {
+  std::uint32_t sum = 0;
+  for (int i = 0; vec != 0; ++i, vec >>= 1)
+    if (vec & 1u) sum ^= mat[i];
+  return sum;
+}
+
+template <std::size_t Len>
+constexpr ZerosOp make_zeros_op() {
+  static_assert(Len != 0 && (Len & (Len - 1)) == 0, "power of two");
+  // One zero bit: bit 0 feeds the polynomial, bit n moves to bit n-1.
+  std::uint32_t op[32] = {kPoly};
+  for (int n = 1; n < 32; ++n) op[n] = 1u << (n - 1);
+  // Square 3 times for one zero byte, then log2(Len) more times.
+  for (std::size_t bits = 1; bits < 8 * Len; bits *= 2) {
+    std::uint32_t sq[32] = {};
+    for (int n = 0; n < 32; ++n) sq[n] = gf2_times(op, op[n]);
+    for (int n = 0; n < 32; ++n) op[n] = sq[n];
+  }
+  ZerosOp zo{};
+  for (std::uint32_t b = 0; b < 256; ++b)
+    for (int k = 0; k < 4; ++k) zo.z[k][b] = gf2_times(op, b << (8 * k));
+  return zo;
+}
+
+inline std::uint64_t shift(const ZerosOp& op, std::uint64_t crc) {
+  return op.z[0][crc & 0xFF] ^ op.z[1][(crc >> 8) & 0xFF] ^
+         op.z[2][(crc >> 16) & 0xFF] ^ op.z[3][(crc >> 24) & 0xFF];
+}
+
+/// Three independent crc32q chains over adjacent `Block`-byte blocks while
+/// 3*Block bytes remain; chains 1 and 2 then fold into chain 0. crc32q has
+/// latency 3 and throughput 1, so three chains keep the unit busy.
+template <std::size_t Block>
+__attribute__((target("sse4.2"))) inline std::uint64_t crc_3way(
+    const unsigned char*& p, std::size_t& n, std::uint64_t crc0) {
+  static constexpr ZerosOp kOp = make_zeros_op<Block>();  // in .rodata
+  while (n >= 3 * Block) {
+    std::uint64_t crc1 = 0, crc2 = 0;
+    for (const unsigned char* end = p + Block; p < end; p += 8) {
+      std::uint64_t w0, w1, w2;
+      std::memcpy(&w0, p, 8);
+      std::memcpy(&w1, p + Block, 8);
+      std::memcpy(&w2, p + 2 * Block, 8);
+      crc0 = __builtin_ia32_crc32di(crc0, w0);
+      crc1 = __builtin_ia32_crc32di(crc1, w1);
+      crc2 = __builtin_ia32_crc32di(crc2, w2);
+    }
+    crc0 = shift(kOp, crc0) ^ crc1;
+    crc0 = shift(kOp, crc0) ^ crc2;
+    p += 2 * Block;
+    n -= 3 * Block;
+  }
+  return crc0;
+}
+
 __attribute__((target("sse4.2"))) std::uint32_t crc_hw(const unsigned char* p,
                                                        std::size_t n,
                                                        std::uint32_t crc) {
@@ -72,7 +136,9 @@ __attribute__((target("sse4.2"))) std::uint32_t crc_hw(const unsigned char* p,
     crc = __builtin_ia32_crc32qi(crc, *p++);
     --n;
   }
-  std::uint64_t c64 = crc;
+  std::uint64_t c64 = crc_3way<8192>(p, n, crc);
+  c64 = crc_3way<256>(p, n, c64);
+  // Tail (< 768 bytes): one serial chain.
   while (n >= 8) {
     std::uint64_t w;
     std::memcpy(&w, p, 8);
@@ -135,5 +201,12 @@ std::uint32_t crc32c(ByteSpan data, std::uint32_t seed) {
 void Crc32c::update(ByteSpan data) { crc_ = crc32c(data, crc_); }
 
 bool crc32c_hw_available() { return kHw; }
+
+namespace detail {
+std::uint32_t crc32c_portable(ByteSpan data, std::uint32_t seed) {
+  return crc_sw(reinterpret_cast<const unsigned char*>(data.data()),
+                data.size(), seed);
+}
+}  // namespace detail
 
 }  // namespace remio

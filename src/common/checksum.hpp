@@ -3,12 +3,14 @@
 // block checksums, cache verify-on-fill, and the compressed-frame trailer.
 //
 // Two implementations behind one function:
-//   * slice-by-8 software path — eight 256-entry tables, processing 8 bytes
-//     per iteration with no data-dependent branches;
-//   * hardware path — SSE4.2 crc32 on x86-64 (selected at runtime via
-//     cpuid, compiled with a per-function target attribute so the library
-//     needs no global -msse4.2), or the ARMv8 CRC extension when the
-//     compiler was targeted at it.
+//   * hardware path — on x86-64, SSE4.2 crc32q run as three independent
+//     chains over adjacent 8 KiB blocks (then 256 B blocks), folded together
+//     with constant "shift past N zero bytes" tables; the sub-768-byte tail
+//     is one serial chain. Selected at runtime via cpuid and compiled with a
+//     per-function target attribute, so the library needs no global
+//     -msse4.2. On ARMv8 with the CRC extension, one serial __crc32cd chain;
+//   * slice-by-8 software path otherwise — eight 256-entry tables,
+//     processing 8 bytes per iteration with no data-dependent branches.
 //
 // The CRC is the standard reflected variant (init 0xFFFFFFFF, final XOR),
 // matching iSCSI / ext4 / RFC 3720: crc32c("123456789") == 0xE3069283.
@@ -38,5 +40,11 @@ class Crc32c {
 /// True when the running CPU's CRC32 instruction is being used (bench
 /// reports label their rows with this).
 bool crc32c_hw_available();
+
+namespace detail {
+/// The slice-by-8 software path, callable directly so tests cover it on
+/// hosts where crc32c() always takes the hardware path.
+std::uint32_t crc32c_portable(ByteSpan data, std::uint32_t seed = 0);
+}  // namespace detail
 
 }  // namespace remio

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -355,22 +356,85 @@ TEST(Options, DoubleAndDefaults) {
 
 // --- crc32c ------------------------------------------------------------------
 
+using CrcFn = std::uint32_t (*)(ByteSpan, std::uint32_t);
+
+/// Both kernels: crc32c() (the hardware path on SSE4.2 / ARMv8-CRC hosts)
+/// and the slice-by-8 path, which no CI host would otherwise run.
+const std::pair<const char*, CrcFn> kKernels[] = {
+    {"crc32c", &crc32c},
+    {"portable", &detail::crc32c_portable},
+};
+
 TEST(Crc32c, KnownAnswers) {
-  // The canonical CRC-32C check value (RFC 3720 / Castagnoli).
-  const char* nine = "123456789";
-  EXPECT_EQ(crc32c(ByteSpan(nine, 9)), 0xE3069283u);
-  // Empty input maps to 0 under init ~0 / final-xor ~0.
-  EXPECT_EQ(crc32c(ByteSpan()), 0u);
-  // iSCSI test vector: 32 zero bytes.
-  const Bytes zeros(32, 0);
-  EXPECT_EQ(crc32c(ByteSpan(zeros.data(), zeros.size())), 0x8A9136AAu);
-  // iSCSI test vector: 32 bytes of 0xFF.
-  const Bytes ffs(32, static_cast<char>(0xFF));
-  EXPECT_EQ(crc32c(ByteSpan(ffs.data(), ffs.size())), 0x62A8AB43u);
-  // iSCSI test vector: bytes 0x00..0x1F ascending.
-  Bytes asc(32);
-  for (int i = 0; i < 32; ++i) asc[static_cast<std::size_t>(i)] = static_cast<char>(i);
-  EXPECT_EQ(crc32c(ByteSpan(asc.data(), asc.size())), 0x46DD794Eu);
+  for (const auto& [name, crc] : kKernels) {
+    SCOPED_TRACE(name);
+    // The canonical CRC-32C check value (RFC 3720 / Castagnoli).
+    const char* nine = "123456789";
+    EXPECT_EQ(crc(ByteSpan(nine, 9), 0), 0xE3069283u);
+    // Empty input maps to 0 under init ~0 / final-xor ~0.
+    EXPECT_EQ(crc(ByteSpan(), 0), 0u);
+    // iSCSI test vector: 32 zero bytes.
+    const Bytes zeros(32, 0);
+    EXPECT_EQ(crc(ByteSpan(zeros.data(), zeros.size()), 0), 0x8A9136AAu);
+    // iSCSI test vector: 32 bytes of 0xFF.
+    const Bytes ffs(32, static_cast<char>(0xFF));
+    EXPECT_EQ(crc(ByteSpan(ffs.data(), ffs.size()), 0), 0x62A8AB43u);
+    // iSCSI test vector: bytes 0x00..0x1F ascending.
+    Bytes asc(32);
+    for (int i = 0; i < 32; ++i) asc[static_cast<std::size_t>(i)] = static_cast<char>(i);
+    EXPECT_EQ(crc(ByteSpan(asc.data(), asc.size()), 0), 0x46DD794Eu);
+  }
+}
+
+/// Bit-at-a-time CRC32C: the definition, with no tables to get wrong.
+std::uint32_t crc32c_bitwise(ByteSpan data, std::uint32_t seed) {
+  std::uint32_t crc = ~seed;
+  for (const char c : data) {
+    crc ^= static_cast<unsigned char>(c);
+    for (int k = 0; k < 8; ++k)
+      crc = (crc & 1u) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+  }
+  return ~crc;
+}
+
+TEST(Crc32c, MatchesBitwiseReferenceAcrossBlockBoundaries) {
+  // The x86 kernel switches between three-way 8 KiB blocks, three-way 256 B
+  // blocks and a serial tail; probe every length around each switch point.
+  const std::size_t max_len = 200000;
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 1100; ++n) lengths.push_back(n);
+  for (const std::size_t unit : {std::size_t{3 * 256}, std::size_t{3 * 8192}})
+    for (std::size_t m = unit; m + 8 <= max_len; m += unit)
+      for (const std::ptrdiff_t d : {-8, -1, 0, 1, 8})
+        lengths.push_back(static_cast<std::size_t>(static_cast<std::ptrdiff_t>(m) + d));
+  Rng rng(0x3ba7c0deu);
+  for (int i = 0; i < 64; ++i) lengths.push_back(rng.next() % (max_len + 1));
+
+  Bytes buf(max_len + 8);
+  for (auto& b : buf) b = static_cast<char>(rng.next());
+  for (std::size_t align = 0; align < 8; ++align) {
+    // ref[n]: reference CRC of the first n bytes at this alignment, built by
+    // seed-chaining the bitwise CRC one byte at a time.
+    const auto seed = static_cast<std::uint32_t>(rng.next());
+    std::vector<std::uint32_t> ref(max_len + 1, seed);
+    for (std::size_t i = 0; i < max_len; ++i)
+      ref[i + 1] = crc32c_bitwise(ByteSpan(buf.data() + align + i, 1), ref[i]);
+    for (const auto& [name, crc] : kKernels) {
+      for (const std::size_t n : lengths)
+        ASSERT_EQ(crc(ByteSpan(buf.data() + align, n), seed), ref[n])
+            << name << " len " << n << " align " << align;
+    }
+  }
+  for (const auto& [name, crc] : kKernels) {
+    SCOPED_TRACE(name);
+    // Seed-chained split exactly at a three-way block boundary.
+    for (const std::size_t split : {std::size_t{3 * 256}, std::size_t{3 * 8192}}) {
+      const ByteSpan whole(buf.data(), 2 * split + 100);
+      const std::uint32_t a = crc(whole.first(split), 0);
+      EXPECT_EQ(crc(whole.subspan(split), a), crc32c_bitwise(whole, 0))
+          << "split " << split;
+    }
+  }
 }
 
 TEST(Crc32c, IncrementalMatchesOneShot) {
