@@ -528,9 +528,11 @@ std::unique_ptr<mpiio::adio::FileHandle> SrbfsDriver::open(const std::string& pa
 }
 
 std::unique_ptr<srb::SrbClient> SrbfsDriver::catalog_client() {
-  return std::make_unique<srb::SrbClient>(fabric_, cfg_.client_host,
-                                          cfg_.server_host, cfg_.server_port,
-                                          cfg_.conn, "semplar-catalog");
+  // Logs in like the data streams, so a tenant's namespace operations stay
+  // inside its carve-out.
+  return std::make_unique<srb::SrbClient>(
+      fabric_, cfg_.client_host, cfg_.server_host, cfg_.server_port, cfg_.conn,
+      "semplar-catalog", cfg_.tenant, cfg_.integrity.wire_checksums);
 }
 
 void SrbfsDriver::remove(const std::string& path) {

@@ -15,47 +15,41 @@ void Pipe::push(std::shared_ptr<const Bytes> buf, std::size_t begin,
   cv_tx_.wait(lk, [&] { return rx_closed_ || bytes_ + n <= capacity_; });
   if (rx_closed_) throw NetError("send on closed connection");
   bytes_ += n;
-  q_.push_back(Chunk{std::move(buf), begin, end, deliver_sim});
+  q_.push_back(Chunk{SharedSlice{std::move(buf), begin, end}, deliver_sim});
   cv_rx_.notify_one();
 }
 
-std::size_t Pipe::pop(MutByteSpan out) {
+SharedSlice Pipe::pop(std::size_t max) {
   std::unique_lock lk(mu_);
   for (;;) {
     if (rx_closed_) throw NetError("recv on closed socket");
     if (head_ < q_.size()) {
-      Chunk& front = q_[head_];
-      const double now = sim_now();
-      if (now + 1e-12 >= front.deliver_sim) break;
-      cv_rx_.wait_until(lk, wall_deadline(front.deliver_sim));
+      const double deliver = q_[head_].deliver_sim;
+      if (sim_now() + 1e-12 >= deliver) break;
+      cv_rx_.wait_until(lk, wall_deadline(deliver));
       continue;
     }
-    if (tx_closed_) return 0;  // EOF
+    if (tx_closed_) return {};  // EOF
     cv_rx_.wait(lk);
   }
 
-  // Drain as many delivered chunks as fit in `out`.
-  std::size_t copied = 0;
-  const double now = sim_now();
-  while (copied < out.size() && head_ < q_.size()) {
-    Chunk& front = q_[head_];
-    if (now + 1e-12 < front.deliver_sim) break;
-    const std::size_t n = std::min(front.end - front.offset, out.size() - copied);
-    std::copy_n(front.buf->data() + front.offset, n, out.data() + copied);
-    copied += n;
-    front.offset += n;
-    bytes_ -= n;
-    if (front.offset == front.end) {
-      front.buf.reset();  // the last slice of a send frees its buffer
-      ++head_;
-      if (head_ > 64 && head_ * 2 > q_.size()) {
-        q_.erase(q_.begin(), q_.begin() + static_cast<std::ptrdiff_t>(head_));
-        head_ = 0;
-      }
+  SharedSlice& front = q_[head_].data;
+  SharedSlice out;
+  if (front.size() <= max) {
+    // The chunk leaves whole and hands its buffer reference to the receiver.
+    out = std::move(front);
+    ++head_;
+    if (head_ > 64 && head_ * 2 > q_.size()) {
+      q_.erase(q_.begin(), q_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
     }
+  } else {
+    out = SharedSlice{front.buf, front.begin, front.begin + max};
+    front.begin += max;
   }
+  bytes_ -= out.size();
   cv_tx_.notify_all();
-  return copied;
+  return out;
 }
 
 void Pipe::close_tx() {
@@ -128,13 +122,40 @@ void Socket::send_all(Bytes&& data) {
   }
 }
 
+SharedSlice Socket::recv_exact(std::size_t n) {
+  if (closed_.load(std::memory_order_acquire))
+    throw NetError("recv on closed socket");
+  SharedSlice out = rx_->pop(n);
+  std::size_t got = out.size();
+  bytes_received_.fetch_add(got, std::memory_order_relaxed);
+  Bytes gathered;  // filled only once the bytes span several send buffers
+  while (got != 0 && got < n) {
+    SharedSlice next = rx_->pop(n - got);
+    if (next.empty()) throw NetError("connection closed mid-message");
+    got += next.size();
+    bytes_received_.fetch_add(next.size(), std::memory_order_relaxed);
+    if (gathered.empty() && next.buf == out.buf && next.begin == out.end) {
+      out.end = next.end;  // the next slice of the same send: widen the view
+      continue;
+    }
+    if (gathered.empty()) {
+      gathered.reserve(n);
+      gathered.assign(out.view().begin(), out.view().end());
+    }
+    gathered.insert(gathered.end(), next.view().begin(), next.view().end());
+  }
+  if (gathered.empty()) return out;
+  return SharedSlice{std::make_shared<const Bytes>(std::move(gathered)), 0, n};
+}
+
 std::size_t Socket::recv_some(MutByteSpan out) {
   if (closed_.load(std::memory_order_acquire))
     throw NetError("recv on closed socket");
   if (out.empty()) return 0;
-  const std::size_t n = rx_->pop(out);
-  bytes_received_.fetch_add(n, std::memory_order_relaxed);
-  return n;
+  const SharedSlice in = rx_->pop(out.size());
+  std::copy_n(in.view().data(), in.size(), out.data());
+  bytes_received_.fetch_add(in.size(), std::memory_order_relaxed);
+  return in.size();
 }
 
 bool Socket::recv_all(MutByteSpan out) {

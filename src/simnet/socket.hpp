@@ -1,11 +1,12 @@
 // Shaped duplex byte-stream connection. Each direction is a Pipe: a bounded
 // queue of chunks stamped with a simulated delivery time (propagation
 // latency). A chunk is a slice of the sender's buffer, which the socket owns
-// from send_all on, so shaping a message into quanta copies nothing. A send
-// charges, in order, the connection's own window-limited bucket (TCP
-// throughput cap = window / RTT — the reason a second stream nearly doubles
-// throughput in §7.2) and every shared resource on the path (node bus, NIC,
-// uplink / NAT, server NIC).
+// from send_all on, so shaping a message into quanta copies nothing, and
+// recv_exact hands a whole message to the receiver as a view of that same
+// buffer. A send charges, in order, the connection's own window-limited
+// bucket (TCP throughput cap = window / RTT — the reason a second stream
+// nearly doubles throughput in §7.2) and every shared resource on the path
+// (node bus, NIC, uplink / NAT, server NIC).
 #pragma once
 
 #include <atomic>
@@ -34,6 +35,21 @@ class NetError : public remio::StatusError {
       : StatusError(std::move(info), what) {}
 };
 
+/// Bytes [begin, end) of an immutable shared buffer. Holding the slice keeps
+/// the whole buffer alive, so a view taken from it stays valid after the
+/// socket that sent it is gone.
+struct SharedSlice {
+  std::shared_ptr<const Bytes> buf;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+
+  std::size_t size() const { return end - begin; }
+  bool empty() const { return begin == end; }
+  ByteSpan view() const {
+    return buf ? ByteSpan(buf->data() + begin, size()) : ByteSpan();
+  }
+};
+
 namespace detail {
 
 /// One direction of a connection.
@@ -46,9 +62,12 @@ class Pipe {
   void push(std::shared_ptr<const Bytes> buf, std::size_t begin,
             std::size_t end, double deliver_sim);
 
-  /// Blocks until data is available *and* delivered (per sim clock), the
-  /// sender has closed (returns 0 = EOF), or the receiver side is closed.
-  std::size_t pop(MutByteSpan out);
+  /// The one dequeue: blocks until the front chunk is delivered (per sim
+  /// clock) and pops up to `max` (> 0) bytes of it as a slice of the
+  /// sender's buffer, releasing that much window. Returns an empty slice on
+  /// EOF (the sender closed and everything was drained); throws NetError if
+  /// the receiver side is closed.
+  SharedSlice pop(std::size_t max);
 
   void close_tx();  // sender will write no more (EOF after drain)
   void close_rx();  // receiver gone; unblock and fail senders
@@ -56,11 +75,10 @@ class Pipe {
   std::size_t buffered() const;
 
  private:
-  /// Unconsumed bytes [offset, end) of a shared send buffer.
+  /// The unconsumed part of one pushed slice; its begin advances as the
+  /// receiver pops it.
   struct Chunk {
-    std::shared_ptr<const Bytes> buf;
-    std::size_t offset = 0;  // advances as the receiver consumes the chunk
-    std::size_t end = 0;
+    SharedSlice data;
     double deliver_sim = 0.0;
   };
 
@@ -108,10 +126,17 @@ class Socket {
   /// bytes are never modified.
   void send_all(ByteSpan data) { send_all(Bytes(data.begin(), data.end())); }
 
-  /// Receives at least one byte (blocking); returns 0 on EOF.
-  std::size_t recv_some(MutByteSpan out);
+  /// Receives exactly `n` (> 0) bytes as a slice. Bytes that are adjacent
+  /// slices of one send buffer are not copied: a message sent with one
+  /// send_all arrives as a view of the sender's own buffer. Bytes from
+  /// several sends are gathered into one fresh buffer. Returns an empty
+  /// slice on EOF before the first byte; throws NetError on EOF after it.
+  SharedSlice recv_exact(std::size_t n);
 
-  /// Receives exactly out.size() bytes; returns false on premature EOF.
+  /// Copying receives. recv_some receives at least one byte (blocking) and
+  /// returns 0 on EOF; recv_all receives exactly out.size() bytes and
+  /// returns false on premature EOF.
+  std::size_t recv_some(MutByteSpan out);
   bool recv_all(MutByteSpan out);
 
   /// Half-close for sending; peer sees EOF after draining.

@@ -103,8 +103,9 @@ SrbClient::Reply SrbClient::call(Bytes&& frame) {
                    "client disconnected");
   rpc_count_.fetch_add(1, std::memory_order_relaxed);
   finish_frame(*sock_, std::move(frame), crc_);
-  ByteSpan resp = recv_frame_into(*sock_, rx_);
-  if (resp.empty())
+  simnet::SharedSlice reply = recv_frame(*sock_);
+  lk.unlock();  // the reply owns its buffer; nothing below touches the stream
+  if (reply.empty())
     // Mid-stream EOF: the broker died or restarted. Transient — a
     // supervisor can reconnect and replay the op.
     throw SrbError(Status::kIoError,
@@ -112,6 +113,7 @@ SrbClient::Reply SrbClient::call(Bytes&& frame) {
                     static_cast<std::int32_t>(Status::kIoError),
                     /*retryable=*/true, "rpc"},
                    "server closed connection");
+  ByteSpan resp = reply.view();
   if (crc_ && !strip_frame_crc(resp)) {
     // The response arrived corrupted. The framing held (the length prefix
     // is uncovered by design), so the stream is still in phase: the next
@@ -126,7 +128,7 @@ SrbClient::Reply SrbClient::call(Bytes&& frame) {
   ByteReader r(resp);
   const auto status = static_cast<Status>(r.i32());
   if (!r.ok()) throw protocol_error("rpc", "malformed response");
-  return Reply{std::move(lk), status, r.rest()};
+  return Reply{std::move(reply), status, r.rest()};
 }
 
 SrbClient::Reply SrbClient::call_ok(Bytes&& frame, const char* what) {

@@ -138,18 +138,18 @@ class SrbClient {
   static constexpr std::size_t kMaxIoChunk = 8u << 20;
 
  private:
-  /// One response, parsed in place: `body` views rx_, so the reply holds
-  /// mu_ until it is destroyed. Copy out of it before the next call.
+  /// One response, parsed in place: `body` views `frame`, the broker's own
+  /// reply buffer, which stays alive as long as the Reply does.
   struct Reply {
-    std::unique_lock<std::mutex> lock;
+    simnet::SharedSlice frame;
     Status status = Status::kOk;
     ByteSpan body;
   };
 
   /// Starts a request frame for `op` with room for `reserve` body bytes.
   static Bytes request(Op op, std::size_t reserve);
-  /// Sends a request built by request() and receives its response into
-  /// rx_, checking the CRC trailer on checksummed sessions.
+  /// Sends a request built by request() and receives its response,
+  /// checking the CRC trailer on checksummed sessions.
   Reply call(Bytes&& frame);
   /// Like call() but throws SrbError unless status == kOk.
   Reply call_ok(Bytes&& frame, const char* what);
@@ -160,7 +160,6 @@ class SrbClient {
 
   std::unique_ptr<simnet::Socket> sock_;
   std::mutex mu_;  // serializes request/response pairs on the stream
-  Bytes rx_;       // response frames, reused; guarded by mu_
   std::string banner_;
   std::atomic<std::uint64_t> rpc_count_{0};
   std::atomic<std::uint64_t> crc_failures_{0};

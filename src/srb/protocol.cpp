@@ -67,34 +67,16 @@ bool strip_frame_crc(ByteSpan& frame) {
   return true;
 }
 
-bool strip_frame_crc(Bytes& frame) {
-  ByteSpan view(frame.data(), frame.size());
-  if (!strip_frame_crc(view)) return false;
-  frame.resize(view.size());
-  return true;
-}
-
-MutByteSpan recv_frame_into(simnet::Socket& sock, Bytes& buf) {
-  char lenbuf[4];
-  const std::size_t first = sock.recv_some(MutByteSpan(lenbuf, 4));
-  if (first == 0) return {};  // clean EOF between frames
-  if (first < 4 && !sock.recv_all(MutByteSpan(lenbuf + first, 4 - first)))
-    throw simnet::NetError("truncated frame length");
-
+simnet::SharedSlice recv_frame(simnet::Socket& sock) {
+  const simnet::SharedSlice prefix = sock.recv_exact(4);
+  if (prefix.empty()) return {};  // clean EOF between frames
   std::uint32_t len;
-  std::memcpy(&len, lenbuf, 4);
+  std::memcpy(&len, prefix.view().data(), 4);
   if (len == 0 || len > kMaxMessage) throw simnet::NetError("bad frame length");
 
-  if (buf.size() < len) buf.resize(len);
-  const MutByteSpan frame(buf.data(), len);
-  if (!sock.recv_all(frame)) throw simnet::NetError("truncated frame body");
+  simnet::SharedSlice frame = sock.recv_exact(len);
+  if (frame.empty()) throw simnet::NetError("truncated frame body");
   return frame;
-}
-
-bool recv_frame(simnet::Socket& sock, Bytes& out) {
-  const std::size_t len = recv_frame_into(sock, out).size();
-  out.resize(len);
-  return len != 0;
 }
 
 }  // namespace remio::srb

@@ -130,17 +130,13 @@ void send_frame_crc(simnet::Socket& sock, std::uint8_t head, ByteSpan body);
 /// the caller decides the reaction (server: reply kChecksumMismatch and
 /// keep the session; client: throw a retryable integrity error).
 bool strip_frame_crc(ByteSpan& frame);
-bool strip_frame_crc(Bytes& frame);
 
-/// Receives one frame's content (everything after the length prefix) into
-/// the front of `buf` and returns a view of it; an empty view means clean
-/// EOF before a frame. `buf` grows when a frame is larger and never
-/// shrinks, so a buffer reused across frames is zero-filled only when it
-/// grows. Throws simnet::NetError on mid-frame EOF or oversized frames.
-MutByteSpan recv_frame_into(simnet::Socket& sock, Bytes& buf);
-
-/// recv_frame_into with `out` resized to exactly the frame's content;
-/// returns false on clean EOF before a frame.
-bool recv_frame(simnet::Socket& sock, Bytes& out);
+/// Receives one frame and returns its content (everything after the length
+/// prefix) without copying it: a frame sent in one piece arrives as a view
+/// of the buffer its sender moved into the socket, and the slice keeps that
+/// buffer alive for as long as the receiver holds it. An empty slice means
+/// clean EOF before a frame. Throws simnet::NetError on mid-frame EOF or a
+/// bad length.
+simnet::SharedSlice recv_frame(simnet::Socket& sock);
 
 }  // namespace remio::srb

@@ -55,12 +55,13 @@ class SrbServer::Session {
 
   void loop() {
     try {
-      // One receive buffer for the session; it only ever grows, and write
-      // payloads go to the store straight out of it.
-      Bytes rx;
       for (;;) {
-        ByteSpan frame = recv_frame_into(*sock_, rx);
-        if (frame.empty()) break;
+        // The frame views the client's own send buffer and keeps it alive
+        // while the op dispatches, so write payloads go to the store
+        // straight out of it.
+        const simnet::SharedSlice msg = recv_frame(*sock_);
+        if (msg.empty()) break;
+        ByteSpan frame = msg.view();
         if (crc_ && !strip_frame_crc(frame)) {
           // Request arrived corrupted. Framing held (the length prefix is
           // uncovered by design), so the stream is still in phase: report

@@ -158,9 +158,9 @@ class ListVerbFuzzTest : public ProtocolFuzzTest {
                    Bytes* resp_body = nullptr) {
     send_frame(sock, static_cast<std::uint8_t>(op),
                ByteSpan(body.data(), body.size()));
-    Bytes frame;
-    EXPECT_TRUE(recv_frame(sock, frame)) << "session dropped";
-    ByteReader r(ByteSpan(frame.data(), frame.size()));
+    const simnet::SharedSlice frame = recv_frame(sock);
+    EXPECT_FALSE(frame.empty()) << "session dropped";
+    ByteReader r(frame.view());
     const auto st = static_cast<Status>(r.i32());
     if (resp_body != nullptr) {
       const ByteSpan rest = r.rest();
@@ -399,9 +399,9 @@ class CorruptionFuzzTest : public ProtocolFuzzTest {
     w.u32(kFeatureWireChecksums);
     send_frame(sock, static_cast<std::uint8_t>(Op::kConnect),
                ByteSpan(body.data(), body.size()));
-    Bytes frame;
-    if (!recv_frame(sock, frame)) return false;
-    ByteReader r(ByteSpan(frame.data(), frame.size()));
+    const simnet::SharedSlice frame = recv_frame(sock);
+    if (frame.empty()) return false;
+    ByteReader r(frame.view());
     if (static_cast<Status>(r.i32()) != Status::kOk) return false;
     (void)r.str();  // banner
     return r.remaining() >= 4 && (r.u32() & kFeatureWireChecksums) != 0;
@@ -424,10 +424,11 @@ class CorruptionFuzzTest : public ProtocolFuzzTest {
                        Bytes* resp_body = nullptr) {
     send_frame_crc(sock, static_cast<std::uint8_t>(op),
                    ByteSpan(body.data(), body.size()));
-    Bytes frame;
-    EXPECT_TRUE(recv_frame(sock, frame)) << "session dropped";
+    const simnet::SharedSlice msg = recv_frame(sock);
+    EXPECT_FALSE(msg.empty()) << "session dropped";
+    ByteSpan frame = msg.view();
     EXPECT_TRUE(strip_frame_crc(frame)) << "response trailer corrupt";
-    ByteReader r(ByteSpan(frame.data(), frame.size()));
+    ByteReader r(frame);
     const auto st = static_cast<Status>(r.i32());
     if (resp_body != nullptr) {
       const ByteSpan rest = r.rest();
@@ -491,10 +492,11 @@ TEST_F(CorruptionFuzzTest, EveryInPhaseBitFlipDetectedInRhythm) {
     mutated[byte] ^= static_cast<char>(1u << rng.below(8));
 
     sock->send_all(ByteSpan(mutated.data(), mutated.size()));
-    Bytes frame;
-    ASSERT_TRUE(recv_frame(*sock, frame)) << "session died on round " << round;
+    const simnet::SharedSlice msg = recv_frame(*sock);
+    ASSERT_FALSE(msg.empty()) << "session died on round " << round;
+    ByteSpan frame = msg.view();
     ASSERT_TRUE(strip_frame_crc(frame));
-    ByteReader r(ByteSpan(frame.data(), frame.size()));
+    ByteReader r(frame);
     // Every single-bit flip the trailer covers (and flips OF the trailer)
     // must be rejected as a checksum mismatch — by CRC's single-bit-error
     // guarantee there are no collisions to worry about.
@@ -591,10 +593,11 @@ TEST_F(CorruptionFuzzTest, MultiBitRandomMutationsNeverLandData) {
       mutated[byte] ^= static_cast<char>(1u << rng.below(8));
     }
     sock->send_all(ByteSpan(mutated.data(), mutated.size()));
-    Bytes frame;
-    ASSERT_TRUE(recv_frame(*sock, frame));
+    const simnet::SharedSlice msg = recv_frame(*sock);
+    ASSERT_FALSE(msg.empty());
+    ByteSpan frame = msg.view();
     ASSERT_TRUE(strip_frame_crc(frame));
-    ByteReader r(ByteSpan(frame.data(), frame.size()));
+    ByteReader r(frame);
     ASSERT_EQ(static_cast<Status>(r.i32()), Status::kChecksumMismatch)
         << "round " << round;
   }
@@ -737,12 +740,13 @@ class FakeBroker {
     auto sock = acceptor_->accept();
     if (!sock) return;
     try {
-      Bytes req;
-      while (recv_frame(**sock, req)) {
+      for (;;) {
+        const simnet::SharedSlice req = recv_frame(**sock);
+        if (req.empty()) break;
         Bytes reply = start_frame(16 + read_body_.size());
         ByteWriter w(reply);
         w.i32(static_cast<std::int32_t>(Status::kOk));
-        switch (static_cast<Op>(req[0])) {
+        switch (static_cast<Op>(req.view()[0])) {
           case Op::kConnect: w.str("fake-broker"); break;
           case Op::kObjOpen: w.i32(3); break;
           case Op::kObjRead: w.raw(ByteSpan(read_body_.data(), read_body_.size())); break;

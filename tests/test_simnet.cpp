@@ -13,6 +13,7 @@
 #include "simnet/faults.hpp"
 #include "simnet/timescale.hpp"
 #include "simnet/token_bucket.hpp"
+#include "srb/protocol.hpp"
 
 namespace remio::simnet {
 namespace {
@@ -504,10 +505,10 @@ TEST(OwnedSend, PipeBufferedReturnsToZeroAndReleasesTheBuffer) {
   EXPECT_EQ(pipe.buffered(), buf->size());
   Bytes got;
   while (got.size() < buf->size()) {
-    Bytes part(3000);  // pops cross slice boundaries
-    const std::size_t n = pipe.pop(MutByteSpan(part.data(), part.size()));
-    ASSERT_GT(n, 0u);
-    got.insert(got.end(), part.begin(), part.begin() + static_cast<std::ptrdiff_t>(n));
+    const SharedSlice part = pipe.pop(3000);  // splits a 4096-byte slice
+    ASSERT_FALSE(part.empty());
+    EXPECT_EQ(part.buf, buf);  // a view of the pushed buffer, not a copy
+    got.insert(got.end(), part.view().begin(), part.view().end());
     EXPECT_EQ(pipe.buffered(), buf->size() - got.size());
   }
   EXPECT_EQ(got, *buf);
@@ -549,6 +550,135 @@ TEST(OwnedSend, SpanSendNeverMutatesTheCallersBytes) {
   ASSERT_TRUE(server->recv_all(MutByteSpan(got.data(), got.size())));
   EXPECT_EQ(caller, pristine);                          // untouched
   EXPECT_EQ(differing_bits(pristine, got).size(), 1u);  // the copy was hit
+}
+
+// --- in-place receive: a frame arrives as a view of the sender's buffer ----
+
+/// [len:u32][body]: the layout of one SRB frame.
+Bytes length_framed(const Bytes& body) {
+  Bytes frame;
+  ByteWriter w(frame);
+  w.u32(static_cast<std::uint32_t>(body.size()));
+  w.raw(ByteSpan(body.data(), body.size()));
+  return frame;
+}
+
+TEST(RecvInPlace, OneSendArrivesAsAViewOfTheSendersBuffer) {
+  ScopedTimeScale scale(kScale);
+  auto [client, server] = sliced_pair();
+  const Bytes body = Rng(9).bytes(5 * 4096 + 11);  // six quanta
+  Bytes frame = length_framed(body);
+  const char* sent_at = frame.data();
+  client->send_all(std::move(frame));
+  const SharedSlice got = srb::recv_frame(*server);
+  EXPECT_EQ(got.view().data(), sent_at + 4);
+  EXPECT_TRUE(std::equal(body.begin(), body.end(), got.view().begin(),
+                         got.view().end()));
+  EXPECT_EQ(server->bytes_received(), client->bytes_sent());
+}
+
+TEST(RecvInPlace, FrameSplitAcrossSendsIsReassembledByteExact) {
+  ScopedTimeScale scale(kScale);
+  auto [client, server] = sliced_pair();
+  const Bytes body = Rng(10).bytes(3 * 4096 + 5);
+  const Bytes frame = length_framed(body);
+  const ByteSpan wire(frame.data(), frame.size());
+  const std::size_t half = 4 + body.size() / 2;
+  // Prefix and body apart; then body halves apart, the first half riding
+  // with the prefix.
+  for (const std::size_t cut : {std::size_t{4}, half}) {
+    client->send_all(wire.first(cut));
+    client->send_all(wire.subspan(cut));
+    const SharedSlice got = srb::recv_frame(*server);
+    EXPECT_TRUE(std::equal(body.begin(), body.end(), got.view().begin(),
+                           got.view().end()))
+        << "cut at " << cut;
+  }
+  // Every byte of the body in its own send.
+  client->send_all(wire.first(4));
+  for (const char c : body) client->send_all(ByteSpan(&c, 1));
+  const SharedSlice got = srb::recv_frame(*server);
+  EXPECT_TRUE(std::equal(body.begin(), body.end(), got.view().begin(),
+                         got.view().end()));
+}
+
+TEST(RecvInPlace, FrameLargerThanTheWindowFlowsThrough) {
+  ScopedTimeScale scale(kScale);
+  ConnShaping shaping;  // 512 KiB quanta, 4 MiB window
+  auto pair = Socket::make_pair(shaping, "client", "server");
+  Socket& client = *pair.first;
+  const Bytes body = Rng(11).bytes((8u << 20) + 1);
+  Bytes frame = length_framed(body);
+  const char* sent_at = frame.data();
+  auto sender = std::async(std::launch::async, [&client, &frame] {
+    client.send_all(std::move(frame));
+  });
+  const SharedSlice got = srb::recv_frame(*pair.second);
+  sender.get();
+  EXPECT_EQ(got.view().data(), sent_at + 4);
+  EXPECT_TRUE(std::equal(body.begin(), body.end(), got.view().begin(),
+                         got.view().end()));
+
+  // The pipe gives window back slice by slice, so a receiver that keeps
+  // every slice of one buffer never stalls its sender.
+  detail::Pipe pipe(shaping.window_bytes);
+  auto buf = std::make_shared<const Bytes>(body);
+  auto pusher = std::async(std::launch::async, [&pipe, &buf, &shaping] {
+    for (std::size_t off = 0; off < buf->size(); off += shaping.quantum)
+      pipe.push(buf, off, std::min(off + shaping.quantum, buf->size()), sim_now());
+  });
+  std::vector<SharedSlice> held;
+  std::size_t popped = 0;
+  while (popped < buf->size()) {
+    held.push_back(pipe.pop(buf->size() - popped));
+    ASSERT_FALSE(held.back().empty());
+    popped += held.back().size();
+    EXPECT_LE(pipe.buffered(), shaping.window_bytes);
+  }
+  pusher.get();
+  EXPECT_EQ(pipe.buffered(), 0u);
+  EXPECT_EQ(held.front().begin, 0u);
+  EXPECT_EQ(held.back().end, buf->size());
+}
+
+TEST(RecvInPlace, EofMidFrameThrows) {
+  ScopedTimeScale scale(kScale);
+  {
+    auto [client, server] = sliced_pair();
+    Bytes torn;
+    ByteWriter w(torn);
+    w.u32(1000);  // promises 1000 bytes, delivers 10
+    w.raw(Rng(12).bytes(10));
+    client->send_all(std::move(torn));
+    client->shutdown_send();
+    EXPECT_THROW(srb::recv_frame(*server), NetError);
+  }
+  {
+    auto [client, server] = sliced_pair();
+    const char half_prefix[2] = {8, 0};
+    client->send_all(ByteSpan(half_prefix, 2));
+    client->shutdown_send();
+    EXPECT_THROW(srb::recv_frame(*server), NetError);
+  }
+  {
+    auto [client, server] = sliced_pair();
+    client->shutdown_send();
+    EXPECT_TRUE(srb::recv_frame(*server).empty());  // clean EOF
+  }
+}
+
+TEST(RecvInPlace, ViewOutlivesTheSendingSocket) {
+  ScopedTimeScale scale(kScale);
+  const Bytes body = Rng(13).bytes(4 * 4096 + 7);
+  SharedSlice got;
+  {
+    auto [client, server] = sliced_pair();
+    client->send_all(length_framed(body));
+    got = srb::recv_frame(*server);
+  }  // both ends destroyed; the slice alone owns the bytes now
+  EXPECT_EQ(got.buf.use_count(), 1);
+  EXPECT_TRUE(std::equal(body.begin(), body.end(), got.view().begin(),
+                         got.view().end()));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/srbfs.hpp"
 #include "simnet/timescale.hpp"
 #include "srb/client.hpp"
 #include "srb/server.hpp"
@@ -313,6 +314,27 @@ TEST_F(TenantTest, InflightCapRejectsOverWire) {
   for (int i = 0; i < 4; ++i) t.end_op();
   EXPECT_EQ(c->pwrite(fd, ByteSpan(filled(8, 'x').data(), 8), 0), 8u);
   c->close(fd);
+}
+
+TEST_F(TenantTest, DriverNamespaceOpsStayInsideTheCarveOut) {
+  TenantConfig tc;
+  tc.enabled = true;
+  start_server(tc);
+
+  semplar::Config cfg;
+  cfg.client_host = "node0";
+  cfg.tenant = "alpha";
+  semplar::SrbfsDriver driver(fabric_, cfg);
+  driver.open("/f", mpiio::kModeWrite | mpiio::kModeCreate).reset();
+  EXPECT_TRUE(driver.exists("/f"));
+
+  // A root object of the same name must be out of the tenant's reach.
+  auto admin = make_client();
+  admin->close(admin->open("/f", kWrite | kCreate));
+  driver.remove("/f");
+  EXPECT_FALSE(admin->stat("/tenants/alpha/f").has_value());
+  EXPECT_TRUE(admin->stat("/f").has_value());
+  EXPECT_FALSE(driver.exists("/f"));
 }
 
 }  // namespace
