@@ -63,6 +63,36 @@ std::uint32_t crc_sw(const unsigned char* p, std::size_t n, std::uint32_t crc) {
   return ~crc;
 }
 
+/// a * b mod P, with both as reflected polynomials (bit 31 holds x^0).
+/// Branch-free: the bits of a are random, so a branch on each would
+/// mispredict half the time.
+constexpr std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t prod = 0;
+  for (int i = 0; i < 32; ++i, a <<= 1) {
+    prod ^= b & (0u - (a >> 31));        // + b * (coefficient of x^i in a)
+    b = (b >> 1) ^ (kPoly & (0u - (b & 1u)));  // b *= x
+  }
+  return prod;
+}
+
+/// x[k] = x^(8 * 2^k) mod P: multiplying a CRC by it shifts the CRC past
+/// 2^k zero bytes.
+struct ByteShifts {
+  std::uint32_t x[64];
+};
+
+constexpr ByteShifts make_byte_shifts() {
+  ByteShifts t{};
+  std::uint32_t p = 1u << 23;  // x^8
+  for (auto& x : t.x) {
+    x = p;
+    p = multmodp(p, p);
+  }
+  return t;
+}
+
+constexpr ByteShifts kByteShifts = make_byte_shifts();
+
 #if defined(REMIO_CRC32C_X86)
 /// Operator that advances a raw CRC register past `Len` zero bytes, as four
 /// byte-indexed tables: shift(crc) = z[0][b0] ^ z[1][b1] ^ z[2][b2] ^ z[3][b3].
@@ -198,7 +228,18 @@ std::uint32_t crc32c(ByteSpan data, std::uint32_t seed) {
                seed);
 }
 
-void Crc32c::update(ByteSpan data) { crc_ = crc32c(data, crc_); }
+std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                             std::uint64_t len_b) {
+  // Shifting is linear and 0 stays 0, so both shortcuts are exact.
+  if (crc_a == 0 || len_b == 0) return crc_a ^ crc_b;
+  // x^(8 * len_b) as a product of the table entries for len_b's set bits;
+  // 0 until the first factor (no power of x is 0 mod P).
+  std::uint32_t op = 0;
+  for (int k = 0; len_b != 0; ++k, len_b >>= 1)
+    if (len_b & 1u)
+      op = op == 0 ? kByteShifts.x[k] : multmodp(kByteShifts.x[k], op);
+  return multmodp(op, crc_a) ^ crc_b;
+}
 
 bool crc32c_hw_available() { return kHw; }
 

@@ -26,16 +26,14 @@ namespace remio {
 /// result continues the CRC as if the buffers were concatenated.
 std::uint32_t crc32c(ByteSpan data, std::uint32_t seed = 0);
 
-/// Incremental CRC32C over a sequence of spans (used to checksum a frame
-/// head + body without concatenating them).
-class Crc32c {
- public:
-  void update(ByteSpan data);
-  std::uint32_t value() const { return crc_; }
-
- private:
-  std::uint32_t crc_ = 0;
-};
+/// CRC32C of the concatenation A||B from crc_a = crc32c(A), crc_b =
+/// crc32c(B) and len_b = |B|, without touching the bytes: crc_a is shifted
+/// past len_b zero bytes (a multiply mod P by x^(8*len_b), built from a
+/// compile-time table of x^(8*2^k)) and XORed with crc_b. Costs one 32-step
+/// multiply per set bit of len_b, plus one, however long B is, so a CRC
+/// known piece by piece need not be recomputed over the whole.
+std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                             std::uint64_t len_b);
 
 /// True when the running CPU's CRC32 instruction is being used (bench
 /// reports label their rows with this).

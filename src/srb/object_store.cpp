@@ -44,8 +44,32 @@ std::shared_ptr<ObjectStore::Object> ObjectStore::find(ObjectId id) const {
   return it->second;
 }
 
+namespace {
+
+ByteSpan slice(const Bytes& data, std::uint64_t lo, std::uint64_t hi) {
+  return ByteSpan(data.data() + lo, static_cast<std::size_t>(hi - lo));
+}
+
+/// CRC32C of data[lo, hi) given `mid`, the CRC of its piece [s, e): only
+/// the bytes around the piece are hashed.
+std::uint32_t crc_around(const Bytes& data, std::uint64_t lo, std::uint64_t s,
+                         std::uint64_t e, std::uint64_t hi, std::uint32_t mid) {
+  const std::uint32_t head = crc32c(slice(data, lo, s));
+  return crc32c_combine(crc32c_combine(head, mid, e - s),
+                        crc32c(slice(data, e, hi)), hi - e);
+}
+
+}  // namespace
+
+std::size_t ObjectStore::pieces(std::uint64_t offset, std::uint64_t len) const {
+  const std::uint64_t bs = checksum_block();
+  if (bs == 0 || len == 0) return 0;
+  return static_cast<std::size_t>((offset + len - 1) / bs - offset / bs + 1);
+}
+
 void ObjectStore::rehash_range(Object& obj, std::uint64_t begin,
-                               std::uint64_t end) const {
+                               std::uint64_t end, std::uint64_t at,
+                               std::span<const std::uint32_t> piece_crcs) const {
   if (!cfg_.checksums) return;
   const std::uint64_t bs = cfg_.checksum_block;
   const std::uint64_t size = obj.data.size();
@@ -56,59 +80,64 @@ void ObjectStore::rehash_range(Object& obj, std::uint64_t begin,
   for (std::uint64_t b = first; b <= last && b * bs < size; ++b) {
     const std::uint64_t lo = b * bs;
     const std::uint64_t hi = std::min(lo + bs, size);
-    obj.sums[static_cast<std::size_t>(b)] = crc32c(
-        ByteSpan(obj.data.data() + lo, static_cast<std::size_t>(hi - lo)));
+    obj.sums[static_cast<std::size_t>(b)] =
+        !piece_crcs.empty() && hi > at
+            ? crc_around(obj.data, lo, std::max(lo, at), std::min(hi, end), hi,
+                         piece_crcs[static_cast<std::size_t>(b - at / bs)])
+            : crc32c(slice(obj.data, lo, hi));
   }
-}
-
-std::int64_t ObjectStore::verify_range(const Object& obj, std::uint64_t begin,
-                                       std::uint64_t end) const {
-  if (!cfg_.checksums) return -1;
-  const std::uint64_t bs = cfg_.checksum_block;
-  const std::uint64_t size = obj.data.size();
-  if (size == 0 || begin >= end || begin >= size) return -1;
-  const std::uint64_t first = begin / bs;
-  const std::uint64_t last = (std::min(end, size) - 1) / bs;
-  for (std::uint64_t b = first; b <= last && b * bs < size; ++b) {
-    const std::uint64_t lo = b * bs;
-    const std::uint64_t hi = std::min(lo + bs, size);
-    const std::uint32_t want =
-        b < obj.sums.size() ? obj.sums[static_cast<std::size_t>(b)] : 0;
-    if (crc32c(ByteSpan(obj.data.data() + lo,
-                        static_cast<std::size_t>(hi - lo))) != want)
-      return static_cast<std::int64_t>(b);
-  }
-  return -1;
 }
 
 std::size_t ObjectStore::pread(ObjectId id, MutByteSpan out,
-                               std::uint64_t offset) {
+                               std::uint64_t offset, std::uint32_t* crc) {
   auto obj = find(id);
   std::size_t n = 0;
+  std::uint32_t sum = 0;  // CRC32C of out[0, n)
   {
     std::shared_lock lk(obj->mu);
     if (obj->quarantined)
       throw IntegrityError(id, "object " + std::to_string(id) +
                                    " is quarantined pending repair",
                            /*quarantined=*/true);
-    if (offset < obj->data.size()) {
-      n = std::min<std::size_t>(out.size(), obj->data.size() - offset);
-      const std::int64_t bad = verify_range(*obj, offset, offset + n);
-      if (bad >= 0)
-        throw IntegrityError(
-            id,
-            "at-rest checksum mismatch in object " + std::to_string(id) +
-                " block " + std::to_string(bad),
-            /*quarantined=*/false);
-      std::copy_n(obj->data.data() + offset, n, out.data());
+    const Bytes& data = obj->data;
+    if (offset < data.size()) {
+      n = std::min<std::size_t>(out.size(), data.size() - offset);
+      const std::uint64_t end = offset + n;
+      if (!cfg_.checksums) {
+        std::copy_n(data.data() + offset, n, out.data());
+        if (crc != nullptr) sum = crc32c(out.first(n));
+      } else {
+        // Block by block, so each block's in-range bytes are copied while
+        // its verify has them in cache.
+        const std::uint64_t bs = cfg_.checksum_block;
+        for (std::uint64_t lo = offset / bs * bs; lo < end; lo += bs) {
+          const std::uint64_t hi = std::min<std::uint64_t>(lo + bs, data.size());
+          const std::uint64_t s = std::max(lo, offset);
+          const std::uint64_t e = std::min(hi, end);
+          const std::uint32_t mid = crc32c(slice(data, s, e));
+          const auto b = static_cast<std::size_t>(lo / bs);
+          const std::uint32_t want = b < obj->sums.size() ? obj->sums[b] : 0;
+          if (crc_around(data, lo, s, e, hi, mid) != want)
+            throw IntegrityError(
+                id,
+                "at-rest checksum mismatch in object " + std::to_string(id) +
+                    " block " + std::to_string(b),
+                /*quarantined=*/false);
+          std::copy_n(data.data() + s, e - s, out.data() + (s - offset));
+          if (crc != nullptr) sum = crc32c_combine(sum, mid, e - s);
+        }
+      }
     }
   }
   disk_read_.acquire(n);  // charge outside the object lock
+  if (crc != nullptr) *crc = sum;
   return n;
 }
 
 std::uint64_t ObjectStore::pwrite(ObjectId id, ByteSpan data,
-                                  std::uint64_t offset) {
+                                  std::uint64_t offset,
+                                  std::span<const std::uint32_t> piece_crcs) {
+  if (piece_crcs.size() != pieces(offset, data.size())) piece_crcs = {};
   auto obj = find(id);
   std::uint64_t growth = 0;
   {
@@ -123,7 +152,7 @@ std::uint64_t ObjectStore::pwrite(ObjectId id, ByteSpan data,
       obj->data.resize(end, '\0');
     }
     std::copy_n(data.data(), data.size(), obj->data.data() + offset);
-    rehash_range(*obj, touch_begin, end);
+    rehash_range(*obj, touch_begin, end, offset, piece_crcs);
   }
   disk_write_.acquire(data.size());
   return growth;
@@ -182,23 +211,19 @@ ScrubReport ObjectStore::scrub() {
     snapshot.reserve(objects_.size());
     for (const auto& [id, obj] : objects_) snapshot.push_back(obj);
   }
+  const std::uint64_t bs = cfg_.checksum_block;
   for (const auto& obj : snapshot) {
     std::lock_guard lk(obj->mu);
     ++rep.objects;
-    const std::uint64_t bs = cfg_.checksum_block;
-    rep.blocks += (obj->data.size() + bs - 1) / bs;
-    const bool bad = verify_range(*obj, 0, obj->data.size()) >= 0;
-    if (bad) {
-      // Count every bad block for the report, not just the first.
-      for (std::uint64_t b = 0; b * bs < obj->data.size(); ++b) {
-        const std::uint64_t lo = b * bs;
-        const std::uint64_t hi = std::min<std::uint64_t>(lo + bs, obj->data.size());
-        const std::uint32_t want =
-            b < obj->sums.size() ? obj->sums[static_cast<std::size_t>(b)] : 0;
-        if (crc32c(ByteSpan(obj->data.data() + lo,
-                            static_cast<std::size_t>(hi - lo))) != want)
-          ++rep.mismatched;
-      }
+    std::uint64_t bad = 0;
+    const std::uint64_t size = obj->data.size();
+    for (std::uint64_t lo = 0; lo < size; lo += bs, ++rep.blocks) {
+      const auto b = static_cast<std::size_t>(lo / bs);
+      const std::uint32_t want = b < obj->sums.size() ? obj->sums[b] : 0;
+      if (crc32c(slice(obj->data, lo, std::min(lo + bs, size))) != want) ++bad;
+    }
+    rep.mismatched += bad;
+    if (bad > 0) {
       if (!obj->quarantined) {
         obj->quarantined = true;
         ++rep.quarantined;

@@ -4,8 +4,9 @@
 // read gains above the write gains.
 //
 // At-rest integrity: every object carries one CRC32C per checksum_block
-// bytes, recomputed on the blocks a pwrite/truncate touches and verified on
-// the blocks a pread covers. A mismatch throws IntegrityError (the server
+// bytes, recomputed on the blocks a pwrite/truncate touches (or derived
+// from the writer's own CRCs of the bytes) and verified on the blocks a
+// pread covers. A mismatch throws IntegrityError (the server
 // maps it to kChecksumMismatch, keeping the session); scrub() walks every
 // block, quarantines objects that fail, and heals quarantined objects that
 // verify clean again (after being rewritten). Reads of a quarantined
@@ -17,6 +18,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -75,16 +77,37 @@ class ObjectStore {
   bool exists(ObjectId id) const;
 
   /// pread semantics: reads up to out.size() bytes at `offset`; returns the
-  /// count actually read (short at EOF, 0 past EOF). Verifies the CRC of
-  /// every block the read covers first; throws IntegrityError on mismatch
-  /// or when the object is quarantined.
-  std::size_t pread(ObjectId id, MutByteSpan out, std::uint64_t offset);
+  /// count actually read (short at EOF, 0 past EOF). Each block the read
+  /// touches is hashed as its before-range, in-range and after-range
+  /// pieces, checked against its sum, and its in-range bytes copied under
+  /// the same lock hold; throws IntegrityError on a mismatch (`out` may
+  /// then hold part of the range) or when the object is quarantined. With
+  /// `crc`, stores the CRC32C of the bytes read, combined from the in-range
+  /// pieces (with checksums off, hashed from the copy): it vouches for the
+  /// stored bytes, so a consumer checking it also checks the copy.
+  std::size_t pread(ObjectId id, MutByteSpan out, std::uint64_t offset,
+                    std::uint32_t* crc = nullptr);
 
   /// pwrite semantics: writes all of `data` at `offset`, zero-extending any
   /// gap. Concurrent writers to disjoint ranges are safe. Returns the
   /// object's growth in bytes (0 for a pure overwrite), computed under the
   /// per-object mutex, so per-tenant footprints can be settled exactly.
-  std::uint64_t pwrite(ObjectId id, ByteSpan data, std::uint64_t offset);
+  /// `piece_crcs`, when it has pieces(offset, data.size()) entries, holds
+  /// the CRC32C of `data` cut at the block grid, one per block the write
+  /// touches: each such block adopts its piece's CRC and hashes only its
+  /// bytes outside the write, so its sum is the CRC of the bytes the caller
+  /// checksummed, and a bad copy into the store surfaces on the next read
+  /// or scrub. Otherwise every touched block is rehashed.
+  std::uint64_t pwrite(ObjectId id, ByteSpan data, std::uint64_t offset,
+                       std::span<const std::uint32_t> piece_crcs = {});
+
+  /// Bytes per block sum; 0 when checksums are off.
+  std::uint64_t checksum_block() const {
+    return cfg_.checksums ? cfg_.checksum_block : 0;
+  }
+  /// How many block-grid pieces [offset, offset + len) cuts into: one per
+  /// block it touches, 0 for len 0 or with checksums off.
+  std::size_t pieces(std::uint64_t offset, std::uint64_t len) const;
 
   /// Returns the signed size delta (new - old), exact under the object mutex.
   std::int64_t truncate(ObjectId id, std::uint64_t size);
@@ -119,13 +142,13 @@ class ObjectStore {
   };
 
   std::shared_ptr<Object> find(ObjectId id) const;
-  /// Recomputes sums for the blocks covering [begin, end); caller holds
-  /// the object mutex exclusively.
-  void rehash_range(Object& obj, std::uint64_t begin, std::uint64_t end) const;
-  /// Verifies the blocks covering [begin, end); returns the index of the
-  /// first bad block or -1. Caller holds the object mutex (shared is enough).
-  std::int64_t verify_range(const Object& obj, std::uint64_t begin,
-                            std::uint64_t end) const;
+  /// Recomputes the sums of the blocks covering [begin, end); caller holds
+  /// the object mutex exclusively. Non-empty `piece_crcs` are the CRCs of
+  /// the bytes just written at [at, end), one per block they touch; those
+  /// blocks adopt them (see pwrite).
+  void rehash_range(Object& obj, std::uint64_t begin, std::uint64_t end,
+                    std::uint64_t at = 0,
+                    std::span<const std::uint32_t> piece_crcs = {}) const;
 
   StoreConfig cfg_;
   mutable std::mutex mu_;

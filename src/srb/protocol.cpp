@@ -28,41 +28,33 @@ Bytes start_frame(std::size_t reserve) {
   return frame;
 }
 
-void finish_frame(simnet::Socket& sock, Bytes&& frame, bool with_crc) {
+void finish_frame(simnet::Socket& sock, Bytes&& frame, bool with_crc,
+                  std::uint32_t tail_crc, std::size_t tail_len) {
   if (with_crc) {
-    const std::uint32_t crc = crc32c(ByteSpan(frame.data() + 4, frame.size() - 4));
-    ByteWriter(frame).u32(crc);
+    const ByteSpan head(frame.data() + 4, frame.size() - 4 - tail_len);
+    ByteWriter(frame).u32(crc32c_combine(crc32c(head), tail_crc, tail_len));
   }
   const auto len = static_cast<std::uint32_t>(frame.size() - 4);
   std::memcpy(frame.data(), &len, 4);
   sock.send_all(std::move(frame));
 }
 
-namespace {
-void send_framed(simnet::Socket& sock, std::uint8_t head, ByteSpan body,
-                 bool with_crc) {
-  Bytes frame = start_frame(1 + body.size());
-  ByteWriter w(frame);
-  w.u8(head);
-  w.raw(body);
-  finish_frame(sock, std::move(frame), with_crc);
-}
-}  // namespace
-
-void send_frame(simnet::Socket& sock, std::uint8_t head, ByteSpan body) {
-  send_framed(sock, head, body, /*with_crc=*/false);
-}
-
-void send_frame_crc(simnet::Socket& sock, std::uint8_t head, ByteSpan body) {
-  send_framed(sock, head, body, /*with_crc=*/true);
-}
-
-bool strip_frame_crc(ByteSpan& frame) {
+bool strip_frame_crc(ByteSpan& frame, std::span<const std::size_t> cuts,
+                     std::span<std::uint32_t> pieces) {
   if (frame.size() < 5) return false;  // head byte + trailer at minimum
   const std::size_t content = frame.size() - 4;
+  std::uint32_t crc = 0;
+  std::size_t at = 0;
+  for (std::size_t i = 0; i <= cuts.size(); ++i) {
+    const std::size_t to = i < cuts.size() ? cuts[i] : content;
+    const std::uint32_t piece = crc32c(frame.subspan(at, to - at));
+    crc = crc32c_combine(crc, piece, to - at);
+    if (i > 0 && i < cuts.size()) pieces[i - 1] = piece;
+    at = to;
+  }
   std::uint32_t wire;
   std::memcpy(&wire, frame.data() + content, 4);
-  if (crc32c(frame.first(content)) != wire) return false;
+  if (crc != wire) return false;
   frame = frame.first(content);
   return true;
 }

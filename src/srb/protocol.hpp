@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "common/bytes.hpp"
@@ -118,18 +119,24 @@ Bytes start_frame(std::size_t reserve);
 /// it is what keeps the two ends in phase, and the fault model (like TCP
 /// segmentation) preserves it, so a corrupted frame is still a *complete*
 /// frame and the receiver can answer kChecksumMismatch in rhythm.
-void finish_frame(simnet::Socket& sock, Bytes&& frame, bool with_crc);
-
-/// Sends one framed message: [len][head][body...], with the CRC trailer
-/// for send_frame_crc.
-void send_frame(simnet::Socket& sock, std::uint8_t head, ByteSpan body);
-void send_frame_crc(simnet::Socket& sock, std::uint8_t head, ByteSpan body);
+/// `tail_crc` is the caller's CRC32C of the frame's last `tail_len` bytes
+/// (a read reply's data, whose CRC the store derived as it copied them):
+/// only the bytes before them are hashed, and the two CRCs are combined.
+void finish_frame(simnet::Socket& sock, Bytes&& frame, bool with_crc,
+                  std::uint32_t tail_crc = 0, std::size_t tail_len = 0);
 
 /// Verifies and strips the CRC32C trailer of a received frame in place.
 /// Returns false on mismatch (or a frame too short to carry the trailer);
 /// the caller decides the reaction (server: reply kChecksumMismatch and
 /// keep the session; client: throw a retryable integrity error).
-bool strip_frame_crc(ByteSpan& frame);
+/// `cuts` (ascending positions in the content, the last at most the
+/// content's length) split the hashing: the content is hashed piece by
+/// piece, the pieces' CRCs combined and checked against the trailer, and on
+/// a match `pieces[i]` holds the CRC of [cuts[i], cuts[i+1]) — bytes the
+/// trailer has just vouched for. `pieces` has cuts.size() - 1 entries (none
+/// without cuts).
+bool strip_frame_crc(ByteSpan& frame, std::span<const std::size_t> cuts = {},
+                     std::span<std::uint32_t> pieces = {});
 
 /// Receives one frame and returns its content (everything after the length
 /// prefix) without copying it: a frame sent in one piece arrives as a view

@@ -5,6 +5,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/checksum.hpp"
 #include "common/extent.hpp"
 #include "common/log.hpp"
 
@@ -62,7 +63,8 @@ class SrbServer::Session {
         const simnet::SharedSlice msg = recv_frame(*sock_);
         if (msg.empty()) break;
         ByteSpan frame = msg.view();
-        if (crc_ && !strip_frame_crc(frame)) {
+        plan_cuts(crc_ ? frame : ByteSpan());
+        if (crc_ && !strip_frame_crc(frame, cuts_, pieces_)) {
           // Request arrived corrupted. Framing held (the length prefix is
           // uncovered by design), so the stream is still in phase: report
           // the mismatch in rhythm and let the client re-send. Crucially
@@ -92,6 +94,60 @@ class SrbServer::Session {
     }
     sock_->close();
     done_.store(true, std::memory_order_release);
+  }
+
+  /// Plans where verifying `frame` cuts a write's payload: where it starts,
+  /// where it crosses the store's block grid, and where it ends. The one
+  /// verify pass then leaves in pieces_ the CRC of each payload piece, and
+  /// transfer() hands them to the store to adopt as block sums instead of
+  /// rehashing the bytes it copied. Only the header is read, before the
+  /// frame is verified: a wrong cut only moves where the hashing splits,
+  /// and the trailer still covers every byte. No cuts for other verbs, a
+  /// file-pointer write, a header that does not parse or match the frame,
+  /// or a store without checksums: then the verify is one pass, as before.
+  void plan_cuts(ByteSpan frame) {
+    cuts_.clear();
+    pieces_.clear();
+    const std::uint64_t bs = server_.store_.checksum_block();
+    if (bs == 0 || frame.size() < 5) return;
+    const ByteSpan content = frame.first(frame.size() - 4);
+    ByteReader r(content);
+    const auto op = static_cast<Op>(r.u8());
+    (void)r.i32();  // fd
+    // Cuts for `len` payload bytes at content position `at`, bound for
+    // object offset `offset`.
+    const auto cut = [&](std::size_t at, std::uint64_t offset,
+                         std::uint64_t len) {
+      if (len == 0) return;
+      if (cuts_.empty()) cuts_.push_back(at);
+      for (std::uint64_t k = offset / bs + 1; k * bs < offset + len; ++k)
+        cuts_.push_back(at + static_cast<std::size_t>(k * bs - offset));
+      cuts_.push_back(at + static_cast<std::size_t>(len));
+    };
+    if (op == Op::kObjWrite) {
+      const std::int64_t offset = r.i64();
+      const std::uint32_t len = r.u32();
+      if (!r.ok() || offset < 0 || len > r.remaining()) return;
+      cut(content.size() - r.remaining(), static_cast<std::uint64_t>(offset),
+          len);
+    } else if (op == Op::kObjWriteList) {
+      const std::uint32_t count = r.u32();
+      if (!r.ok() || count == 0 || count > kMaxListExtents ||
+          12u * count > r.remaining())
+        return;
+      std::size_t at = content.size() - r.remaining() + 12u * count;
+      for (std::uint32_t i = 0; i < count; ++i) {
+        const std::uint64_t offset = r.u64();
+        const std::uint64_t len = r.u32();
+        if (offset > UINT64_MAX - len || len > content.size() - at) {
+          cuts_.clear();
+          return;
+        }
+        cut(at, offset, len);
+        at += static_cast<std::size_t>(len);
+      }
+    }
+    if (!cuts_.empty()) pieces_.resize(cuts_.size() - 1);
   }
 
   /// Maps a client-visible path into the tenant's carved-out namespace.
@@ -145,6 +201,20 @@ class SrbServer::Session {
   }
 
   void send(Bytes&& frame) { finish_frame(*sock_, std::move(frame), crc_); }
+
+  /// A data verb's kOk reply. A read's data sits at the frame's tail, and
+  /// data_crc is its CRC as the store derived it while copying it in, so
+  /// the trailer hashes only the bytes before it.
+  struct DataReply {
+    Bytes frame;
+    std::uint32_t data_crc = 0;
+    std::size_t data_len = 0;
+  };
+
+  void send(DataReply&& rep) {
+    finish_frame(*sock_, std::move(rep.frame), crc_, rep.data_crc,
+                 rep.data_len);
+  }
 
   void reply(Status st) { send(reply_frame(st)); }
 
@@ -268,10 +338,10 @@ class SrbServer::Session {
     const std::uint32_t len = r.u32();
     if (!r.ok() || len > kMaxMessage / 2) return proto_error();
     ExtentList xs{plain_extent(offset, len)};
-    auto frame = transfer(/*write=*/false, fd, xs, offset < 0, {}, 4);
-    if (!frame) return true;
-    put_at(*frame, kReplyHead, static_cast<std::uint32_t>(xs[0].len));
-    send(std::move(*frame));
+    auto rep = transfer(/*write=*/false, fd, xs, offset < 0, {}, 4);
+    if (!rep) return true;
+    put_at(rep->frame, kReplyHead, static_cast<std::uint32_t>(xs[0].len));
+    send(std::move(*rep));
     return true;
   }
 
@@ -282,10 +352,10 @@ class SrbServer::Session {
     const ByteSpan data = r.blob_view();
     if (!r.ok()) return proto_error();
     ExtentList xs{plain_extent(offset, data.size())};
-    auto frame = transfer(/*write=*/true, fd, xs, offset < 0, data, 4);
-    if (!frame) return true;
-    put_at(*frame, kReplyHead, static_cast<std::uint32_t>(data.size()));
-    send(std::move(*frame));
+    auto rep = transfer(/*write=*/true, fd, xs, offset < 0, data, 4);
+    if (!rep) return true;
+    put_at(rep->frame, kReplyHead, static_cast<std::uint32_t>(data.size()));
+    send(std::move(*rep));
     return true;
   }
 
@@ -301,14 +371,14 @@ class SrbServer::Session {
     }
     // Reply: per-extent actual lengths, then the read bytes concatenated
     // (short extents contribute only their actual bytes).
-    auto frame = transfer(/*write=*/false, fd, xs, /*at_fp=*/false, {},
-                          4 + 4 * xs.size());
-    if (!frame) return true;
-    put_at(*frame, kReplyHead, count);
+    auto rep = transfer(/*write=*/false, fd, xs, /*at_fp=*/false, {},
+                        4 + 4 * xs.size());
+    if (!rep) return true;
+    put_at(rep->frame, kReplyHead, count);
     for (std::size_t i = 0; i < xs.size(); ++i)
-      put_at(*frame, kReplyHead + 4 + 4 * i,
+      put_at(rep->frame, kReplyHead + 4 + 4 * i,
              static_cast<std::uint32_t>(xs[i].len));
-    send(std::move(*frame));
+    send(std::move(*rep));
     return true;
   }
 
@@ -326,10 +396,10 @@ class SrbServer::Session {
       reply(Status::kInvalid);
       return true;
     }
-    auto frame = transfer(/*write=*/true, fd, xs, /*at_fp=*/false, data, 8);
-    if (!frame) return true;
-    put_at(*frame, kReplyHead, std::uint64_t{data.size()});
-    send(std::move(*frame));
+    auto rep = transfer(/*write=*/true, fd, xs, /*at_fp=*/false, data, 8);
+    if (!rep) return true;
+    put_at(rep->frame, kReplyHead, std::uint64_t{data.size()});
+    send(std::move(*rep));
     return true;
   }
 
@@ -366,11 +436,12 @@ class SrbServer::Session {
   /// With `at_fp` the single extent starts at the fd's file pointer, which
   /// then advances past the bytes moved; the pointer only grows by bytes
   /// the store holds or by a seek below 2^63, so that extent cannot wrap.
-  /// Returns the kOk reply frame with `head` bytes after the status for the
-  /// verb to fill; a read's bytes follow them, preaded straight into the
-  /// frame, and each extent's len becomes the bytes actually read. A refused
-  /// op has been answered and returns nullopt.
-  std::optional<Bytes> transfer(bool write, std::int32_t fd, ExtentList& xs,
+  /// A write hands the store the piece CRCs its frame verify left in
+  /// pieces_. Returns the kOk reply with `head` bytes after the status for
+  /// the verb to fill; a read's bytes follow them, preaded straight into the
+  /// frame with their CRC, and each extent's len becomes the bytes actually
+  /// read. A refused op has been answered and returns nullopt.
+  std::optional<DataReply> transfer(bool write, std::int32_t fd, ExtentList& xs,
                                 bool at_fp, ByteSpan data, std::size_t head) {
     const auto it = fds_.find(fd);
     if (it == fds_.end()) {
@@ -403,28 +474,35 @@ class SrbServer::Session {
       }
     }
     const std::uint64_t data_bytes = write ? 0 : total_bytes(xs);
-    Bytes frame = reply_frame(Status::kOk, head + data_bytes);
-    const std::size_t data_at = frame.size() + head;
-    frame.resize(data_at + data_bytes);
+    DataReply rep{reply_frame(Status::kOk, head + data_bytes)};
+    const std::size_t data_at = rep.frame.size() + head;
+    rep.frame.resize(data_at + data_bytes);
+    std::span<const std::uint32_t> crcs = pieces_;
     std::size_t done = 0;
     std::uint64_t growth = 0;
     for (Extent& x : xs) {
       const auto n = static_cast<std::size_t>(x.len);
       if (write) {
-        growth += store.pwrite(st.object, data.subspan(done, n), x.offset);
+        const std::size_t k = std::min(crcs.size(), store.pieces(x.offset, n));
+        growth += store.pwrite(st.object, data.subspan(done, n), x.offset,
+                               crcs.first(k));
+        crcs = crcs.subspan(k);
       } else {
+        std::uint32_t crc = 0;
         x.len = store.pread(st.object,
-                            MutByteSpan(frame.data() + data_at + done, n),
-                            x.offset);
+                            MutByteSpan(rep.frame.data() + data_at + done, n),
+                            x.offset, crc_ ? &crc : nullptr);
+        rep.data_crc = crc32c_combine(rep.data_crc, crc, x.len);
       }
       done += x.len;
     }
-    frame.resize(data_at + (write ? 0 : done));
+    rep.data_len = write ? 0 : done;
+    rep.frame.resize(data_at + rep.data_len);
     if (write && tenant_ != nullptr)
       tenant_->adjust_bytes(static_cast<std::int64_t>(growth) -
                             static_cast<std::int64_t>(reserved));
     if (at_fp) st.fp = xs[0].end();
-    return frame;
+    return rep;
   }
 
   bool handle_seek(ByteReader& r) {
@@ -571,6 +649,10 @@ class SrbServer::Session {
   TenantRegistry::Tenant* tenant_ = nullptr;
   std::string prefix_;  // "/tenants/<name>" namespace carve-out, or empty
   bool crc_ = false;    // per-frame CRC32C, negotiated at kConnect
+  // The current request's cut plan and piece CRCs (see plan_cuts), kept
+  // across requests so their buffers are reused.
+  std::vector<std::size_t> cuts_;
+  std::vector<std::uint32_t> pieces_;
 };
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "wire_helpers.hpp"
 
 namespace remio {
 namespace {
@@ -459,6 +460,59 @@ TEST(Crc32c, IncrementalMatchesOneShot) {
   const std::uint32_t a = crc32c(ByteSpan(data.data(), split));
   EXPECT_EQ(crc32c(ByteSpan(data.data() + split, data.size() - split), a),
             whole);
+}
+
+TEST(Crc32c, CombineMatchesOneShotAtEverySplit) {
+  // crc32c_combine(crc(A), crc(B), |B|) == crc(A||B) with either kernel
+  // computing the parts. Each side takes every length around the word, the
+  // three-way 256 B / 8 KiB block switch points and the 64 KiB store block;
+  // then random splits of random buffers up to 300 KB.
+  Rng rng(0xc0b1e5edu);
+  const std::size_t max_len = 300000;
+  const Bytes buf = rng.bytes(max_len);
+  const std::size_t points[] = {0, 1, 7, 8, 767, 768, 24575, 24576, 65536};
+  std::vector<std::pair<std::size_t, std::size_t>> splits;  // (|A|, |B|)
+  for (const std::size_t a : points)
+    for (const std::size_t b : points) splits.emplace_back(a, b);
+  for (int i = 0; i < 200; ++i) {
+    const std::size_t len = rng.below(max_len + 1);
+    const std::size_t a = rng.below(len + 1);
+    splits.emplace_back(a, len - a);
+  }
+  for (const auto& [name, crc] : kKernels) {
+    for (const auto& [a, b] : splits) {
+      const ByteSpan whole(buf.data(), a + b);
+      ASSERT_EQ(crc32c_combine(crc(whole.first(a), 0), crc(whole.subspan(a), 0), b),
+                crc(whole, 0))
+          << name << " |A| " << a << " |B| " << b;
+    }
+  }
+}
+
+TEST(Crc32c, CombineIdentityAndAssociativity) {
+  Rng rng(0xa550c1a7u);
+  const Bytes buf = rng.bytes(300000);
+  for (const auto& [name, crc] : kKernels) {
+    SCOPED_TRACE(name);
+    for (int i = 0; i < 100; ++i) {
+      // An empty B changes nothing, whatever A was.
+      const auto x = static_cast<std::uint32_t>(rng.next());
+      EXPECT_EQ(crc32c_combine(x, 0, 0), x);
+      // Three pieces combine in either grouping, and both equal the CRC of
+      // the whole.
+      const std::size_t la = rng.below(100001);
+      const std::size_t lb = rng.below(100001);
+      const std::size_t lc = rng.below(100001);
+      const ByteSpan whole(buf.data(), la + lb + lc);
+      const std::uint32_t a = crc(whole.first(la), 0);
+      const std::uint32_t b = crc(whole.subspan(la, lb), 0);
+      const std::uint32_t c = crc(whole.subspan(la + lb), 0);
+      const std::uint32_t left = crc32c_combine(crc32c_combine(a, b, lb), c, lc);
+      const std::uint32_t right = crc32c_combine(a, crc32c_combine(b, c, lc), lb + lc);
+      EXPECT_EQ(left, right) << la << "/" << lb << "/" << lc;
+      EXPECT_EQ(left, crc(whole, 0)) << la << "/" << lb << "/" << lc;
+    }
+  }
 }
 
 TEST(Crc32c, DetectsEverySingleBitFlipInSmallBuffer) {

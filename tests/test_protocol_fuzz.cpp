@@ -14,6 +14,7 @@
 #include "simnet/timescale.hpp"
 #include "srb/client.hpp"
 #include "srb/server.hpp"
+#include "wire_helpers.hpp"
 
 namespace remio::srb {
 namespace {
@@ -614,6 +615,103 @@ TEST_F(CorruptionFuzzTest, MultiBitRandomMutationsNeverLandData) {
   expect_server_alive();
 }
 
+TEST_F(CorruptionFuzzTest, FlipsInMultiBlockWritesMissTheStoreAndItsSums) {
+  // A multi-block write at an unaligned offset is verified in pieces cut at
+  // the store's block grid, and the store adopts the pieces' CRCs as block
+  // sums. Flips aimed at the fields that place the cuts (offsets, lengths,
+  // extent count), at the payload and at the trailer must each still get
+  // kChecksumMismatch in rhythm; the store must keep its bytes, and every
+  // sum must still match its block. Both write verbs take cuts.
+  auto sock = raw_connect();
+  ASSERT_TRUE(raw_connect_crc(*sock));
+  const std::int32_t fd = crc_open(*sock, "/fuzz/cuts");
+  constexpr std::uint64_t kOffset = 65536 - 100;
+  constexpr std::size_t kLen = 200000;
+  Bytes image = Rng(0xc075u).bytes(kOffset + kLen + 70000);
+  ASSERT_EQ(crc_roundtrip(*sock, Op::kObjWrite, write_body(fd, 0, image)),
+            Status::kOk);
+
+  const auto read_back = [&] {
+    Bytes body;
+    ByteWriter w(body);
+    w.i32(fd);
+    w.i64(0);
+    w.u32(static_cast<std::uint32_t>(image.size()));
+    Bytes resp;
+    EXPECT_EQ(crc_roundtrip(*sock, Op::kObjRead, body, &resp), Status::kOk);
+    ByteReader r(ByteSpan(resp.data(), resp.size()));
+    return r.blob();
+  };
+  Rng rng(0xc075f11bu);
+  // Sends `pristine` with one bit flipped in each region (byte ranges of the
+  // wire frame) in turn, then checks nothing reached the store.
+  const auto fuzz = [&](const Bytes& pristine,
+                        const std::vector<std::pair<std::size_t, std::size_t>>& regions) {
+    for (int round = 0; round < 48; ++round) {
+      const auto [lo, hi] = regions[static_cast<std::size_t>(round) % regions.size()];
+      const std::size_t byte = lo + rng.below(hi - lo);
+      Bytes mutated = pristine;
+      mutated[byte] ^= static_cast<char>(1u << rng.below(8));
+      sock->send_all(ByteSpan(mutated.data(), mutated.size()));
+      const simnet::SharedSlice msg = recv_frame(*sock);
+      ASSERT_FALSE(msg.empty()) << "session died on round " << round;
+      ByteSpan frame = msg.view();
+      ASSERT_TRUE(strip_frame_crc(frame));
+      ByteReader r(frame);
+      ASSERT_EQ(static_cast<Status>(r.i32()), Status::kChecksumMismatch)
+          << "round " << round << " byte " << byte;
+    }
+    EXPECT_EQ(read_back(), image);
+    EXPECT_EQ(server_->store().scrub().mismatched, 0u);
+  };
+
+  // kObjWrite: [len][op][fd][offset][blob len][payload][crc]
+  const Bytes evil = Rng(0xe111u).bytes(kLen);
+  const Bytes write = build_crc_frame(Op::kObjWrite, write_body(fd, kOffset, evil));
+  fuzz(write, {{9, 17}, {17, 21}, {21, write.size() - 4}, {write.size() - 4, write.size()}});
+
+  // kObjWriteList: [len][op][fd][count][count x (offset, len)][data][crc]
+  const std::vector<std::pair<std::uint64_t, std::uint32_t>> extents = {
+      {kOffset, 100000}, {kOffset + 100000 + 4321, 70000}};
+  const Bytes list_data = Rng(0xe112u).bytes(170000);
+  Bytes body;
+  ByteWriter w(body);
+  w.i32(fd);
+  w.u32(static_cast<std::uint32_t>(extents.size()));
+  for (const auto& [off, len] : extents) {
+    w.u64(off);
+    w.u32(len);
+  }
+  w.raw(ByteSpan(list_data.data(), list_data.size()));
+  const Bytes list = build_crc_frame(Op::kObjWriteList, body);
+  const std::size_t data_at = 4 + 1 + 4 + 4 + 12 * extents.size();
+  fuzz(list, {{9, 13}, {13, data_at}, {data_at, list.size() - 4},
+              {list.size() - 4, list.size()}});
+
+  // The pristine frames land, and the sums the store adopted from their
+  // pieces match the stored blocks.
+  sock->send_all(ByteSpan(write.data(), write.size()));
+  sock->send_all(ByteSpan(list.data(), list.size()));
+  for (int i = 0; i < 2; ++i) {
+    const simnet::SharedSlice msg = recv_frame(*sock);
+    ASSERT_FALSE(msg.empty());
+    ByteSpan frame = msg.view();
+    ASSERT_TRUE(strip_frame_crc(frame));
+    ByteReader r(frame);
+    ASSERT_EQ(static_cast<Status>(r.i32()), Status::kOk);
+  }
+  std::copy(evil.begin(), evil.end(), image.begin() + kOffset);
+  std::size_t at = 0;
+  for (const auto& [off, len] : extents) {
+    std::copy_n(list_data.begin() + static_cast<std::ptrdiff_t>(at), len,
+                image.begin() + static_cast<std::ptrdiff_t>(off));
+    at += len;
+  }
+  EXPECT_EQ(read_back(), image);
+  EXPECT_EQ(server_->store().scrub().mismatched, 0u);
+  expect_server_alive();
+}
+
 TEST_F(ProtocolFuzzTest, ReadLengthAboveCapRejected) {
   // A read request asking for more than the server's per-message cap.
   SrbClient client(fabric_, "evil", "orion", 5544);
@@ -711,6 +809,17 @@ TEST(Framing, FinishFrameMatchesLegacyBytes) {
     got.assign(want.size(), 0);
     ASSERT_TRUE(rx->recv_all(MutByteSpan(got.data(), got.size())));
     EXPECT_EQ(got, want) << "response, crc " << with_crc;
+
+    // The same response with the body's CRC supplied, as a read reply
+    // carries the CRC its store derived: the trailer is unchanged.
+    frame = start_frame(status.size() + body.size());
+    ByteWriter tw(frame);
+    tw.raw(ByteSpan(status.data(), status.size()));
+    tw.raw(body_span);
+    finish_frame(*tx, std::move(frame), with_crc, crc32c(body_span), body.size());
+    got.assign(want.size(), 0);
+    ASSERT_TRUE(rx->recv_all(MutByteSpan(got.data(), got.size())));
+    EXPECT_EQ(got, want) << "response with tail CRC, crc " << with_crc;
   }
 }
 

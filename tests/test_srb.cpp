@@ -8,6 +8,7 @@
 #include <future>
 #include <thread>
 
+#include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "simnet/faults.hpp"
 #include "simnet/timescale.hpp"
@@ -375,6 +376,143 @@ TEST(ObjectStore, ScrubQuarantinesAndHeals) {
   EXPECT_EQ(store.pread(2, MutByteSpan(back.data(), back.size()), 0), 16u);
 }
 
+// --- derived CRCs ------------------------------------------------------------
+
+/// The CRC32C of each piece of `data`, written at `offset`, cut at the grid of
+/// `bs`-byte blocks: what a writer hands pwrite as piece_crcs.
+std::vector<std::uint32_t> piece_crcs(ByteSpan data, std::uint64_t offset,
+                                      std::uint64_t bs) {
+  std::vector<std::uint32_t> out;
+  for (std::uint64_t at = 0; at < data.size();) {
+    const std::uint64_t o = offset + at;
+    const std::uint64_t n = std::min<std::uint64_t>(bs - o % bs, data.size() - at);
+    out.push_back(crc32c(data.subspan(at, n)));
+    at += n;
+  }
+  return out;
+}
+
+TEST(ObjectStore, PreadReportsCrcOfReturnedBytes) {
+  StoreConfig small;
+  small.checksum_block = 4096;
+  StoreConfig off;
+  off.checksums = false;
+  const std::pair<const char*, StoreConfig> configs[] = {
+      {"64K blocks", StoreConfig{}}, {"4K blocks", small}, {"checksums off", off}};
+  const Bytes data = Rng(7).bytes(300000);  // last 64K block is partial
+  // (offset, len): mid-block start and end, one block exactly, many blocks
+  // from mid-block, whole object, short at EOF, past EOF.
+  const std::pair<std::uint64_t, std::size_t> ranges[] = {
+      {1000, 3000},       {65536, 65536}, {100, 3 * 65536}, {65000, 200000},
+      {0, data.size()},   {250000, 100000}, {299999, 10},   {300000, 10}};
+  for (const auto& [name, cfg] : configs) {
+    ObjectStore store(cfg);
+    store.create(1);
+    store.pwrite(1, ByteSpan(data.data(), data.size()), 0);
+    for (const auto& [offset, len] : ranges) {
+      Bytes back(len);
+      std::uint32_t crc = 0xdeadbeef;
+      const std::size_t n =
+          store.pread(1, MutByteSpan(back.data(), back.size()), offset, &crc);
+      const auto start = static_cast<std::size_t>(std::min<std::uint64_t>(offset, data.size()));
+      ASSERT_EQ(n, std::min(len, data.size() - start)) << name << " @" << offset;
+      EXPECT_TRUE(std::equal(back.begin(), back.begin() + static_cast<std::ptrdiff_t>(n),
+                             data.begin() + static_cast<std::ptrdiff_t>(start)))
+          << name << " @" << offset;
+      EXPECT_EQ(crc, crc32c(ByteSpan(back.data(), n))) << name << " @" << offset;
+    }
+  }
+}
+
+TEST(ObjectStore, RotOutsideRangeInTouchedBlockStillThrows) {
+  // The range is verified block by block as before-range, in-range and
+  // after-range pieces: rot in a piece the read does not return still
+  // fails the block.
+  const Bytes data = Rng(8).bytes(200000);
+  for (const bool want_crc : {false, true}) {
+    ObjectStore store;
+    store.create(1);
+    store.pwrite(1, ByteSpan(data.data(), data.size()), 0);
+    ASSERT_TRUE(store.corrupt(1, 10));     // block 0, before [100, 1100)
+    ASSERT_TRUE(store.corrupt(1, 70000));  // block 1, after [66000, 69000)
+    Bytes back(3000);
+    std::uint32_t crc = 0;
+    std::uint32_t* crc_out = want_crc ? &crc : nullptr;
+    EXPECT_THROW(store.pread(1, MutByteSpan(back.data(), 1000), 100, crc_out),
+                 IntegrityError);
+    EXPECT_THROW(store.pread(1, MutByteSpan(back.data(), 3000), 66000, crc_out),
+                 IntegrityError);
+    // Block 2 is clean.
+    EXPECT_EQ(store.pread(1, MutByteSpan(back.data(), 3000), 140000, crc_out), 3000u);
+  }
+}
+
+TEST(ObjectStore, AdoptedPieceCrcsKeepScrubClean) {
+  // Writes at unaligned offsets, into gaps past EOF and growing the object,
+  // each handing pwrite the CRCs of its pieces on the block grid; a
+  // truncate in between. After each, every sum matches its block and the
+  // bytes read back are the model's.
+  for (const std::uint64_t bs : {std::uint64_t{65536}, std::uint64_t{4096}}) {
+    SCOPED_TRACE(bs);
+    StoreConfig cfg;
+    cfg.checksum_block = bs;
+    ObjectStore store(cfg);
+    store.create(1);
+    Bytes model;
+    Rng rng(9);
+    const auto write = [&](std::uint64_t offset, std::size_t len) {
+      const Bytes data = rng.bytes(len);
+      const auto crcs = piece_crcs(ByteSpan(data.data(), data.size()), offset, bs);
+      ASSERT_EQ(crcs.size(), store.pieces(offset, len));
+      store.pwrite(1, ByteSpan(data.data(), data.size()), offset, crcs);
+      if (model.size() < offset + len) model.resize(offset + len, '\0');
+      std::copy(data.begin(), data.end(), model.begin() + static_cast<std::ptrdiff_t>(offset));
+    };
+    const auto check = [&](const char* what) {
+      EXPECT_EQ(store.scrub().mismatched, 0u) << what;
+      Bytes back(model.size());
+      std::uint32_t crc = 0;
+      ASSERT_EQ(store.pread(1, MutByteSpan(back.data(), back.size()), 0, &crc),
+                model.size()) << what;
+      EXPECT_EQ(back, model) << what;
+      EXPECT_EQ(crc, crc32c(ByteSpan(model.data(), model.size()))) << what;
+    };
+    write(65536 - 100, 200000);  // gap [0, 65436), then growth
+    check("unaligned growth over a gap");
+    write(1000, 3000);  // inside one block: both edges hashed
+    check("mid-block overwrite");
+    write(model.size() + 5000, 70000);  // gap-extending write past EOF
+    check("gap past EOF");
+    write(model.size() - 10, 200000);  // straddles EOF
+    check("growth past EOF");
+    write(0, 131072);  // whole blocks only
+    check("aligned overwrite");
+    store.truncate(1, 150000);
+    model.resize(150000);
+    write(149990, 20);
+    check("write at a truncated tail");
+  }
+}
+
+TEST(ObjectStore, WrongPieceCrcCaughtByNextRead) {
+  // An adopted piece CRC is trusted as the block's sum: when it does not
+  // match the bytes stored (a bad copy, or a lying caller), the next read
+  // of that block throws and scrub counts it; no read returns the bytes.
+  ObjectStore store;
+  store.create(1);
+  const Bytes data = Rng(10).bytes(4 * 65536);
+  auto crcs = piece_crcs(ByteSpan(data.data(), data.size()), 0, 65536);
+  crcs[2] ^= 1u;
+  store.pwrite(1, ByteSpan(data.data(), data.size()), 0, crcs);
+  Bytes back(100);
+  std::uint32_t crc = 0;
+  EXPECT_THROW(store.pread(1, MutByteSpan(back.data(), back.size()), 2 * 65536 + 7, &crc),
+               IntegrityError);
+  EXPECT_EQ(store.pread(1, MutByteSpan(back.data(), back.size()), 3 * 65536, &crc), 100u);
+  EXPECT_EQ(store.scrub().mismatched, 1u);
+  EXPECT_TRUE(store.is_quarantined(1));
+}
+
 TEST(ObjectStoreConcurrency, SharedReadersWriterAndRotNeverReturnWrongBytes) {
   // Two readers on disjoint halves share the object lock while a writer, a
   // rot injector and a scrubber take it exclusively. Every byte stays
@@ -460,6 +598,93 @@ TEST(ObjectStoreConcurrency, SharedReadersWriterAndRotNeverReturnWrongBytes) {
   Bytes back(kSize);
   EXPECT_EQ(store.pread(1, MutByteSpan(back.data(), back.size()), 0), kSize);
   EXPECT_EQ(back, image);
+}
+
+TEST(ObjectStoreConcurrency, ReportedCrcMatchesReturnedBytesUnderWritersRotAndScrub) {
+  // A reader asks for the CRC of every range it reads while two writers
+  // rewrite the object in unaligned chunks with piece CRCs, rot flips bits
+  // and scrubs run. The reported CRC is derived from the stored bytes under
+  // the same lock hold as the copy, so it must equal the CRC of the bytes
+  // returned on every read. Rot is not checked against here: a partial
+  // write rehashes the rest of its edge blocks, rot included.
+  constexpr std::uint64_t kBlock = 64u * 1024;
+  constexpr std::size_t kSize = 4 * kBlock;
+  constexpr int kRots = 16;
+  constexpr auto kPoll = std::chrono::microseconds(50);
+  const Bytes image = Rng(44).bytes(kSize);
+  ObjectStore store;
+  store.create(1);
+  store.pwrite(1, ByteSpan(image.data(), image.size()), 0);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> passes{0};
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> crc_wrong{0};
+  const auto writer = [&](std::uint64_t chunk, std::uint64_t start) {
+    for (std::uint64_t off = start; !stop.load();) {
+      const std::size_t n = static_cast<std::size_t>(std::min(chunk, kSize - off));
+      const ByteSpan data(image.data() + off, n);
+      store.pwrite(1, data, off, piece_crcs(data, off, kBlock));
+      off += n;
+      if (off == kSize) {
+        off = 0;
+        passes.fetch_add(1);
+      }
+      std::this_thread::yield();
+    }
+  };
+  const auto reader = [&] {
+    Rng rng(45);
+    Bytes buf(100000);
+    while (!stop.load()) {
+      const std::uint64_t off = rng.below(kSize);
+      const std::size_t len = 1 + rng.below(buf.size());
+      std::uint32_t crc = 0;
+      try {
+        const std::size_t n =
+            store.pread(1, MutByteSpan(buf.data(), len), off, &crc);
+        if (crc != crc32c(ByteSpan(buf.data(), n))) crc_wrong.fetch_add(1);
+        reads.fetch_add(1);
+      } catch (const IntegrityError&) {
+      }
+      std::this_thread::yield();
+    }
+  };
+  std::thread w1(writer, 40000, 0);
+  std::thread w2(writer, 52000, 1000);
+  std::thread r(reader);
+  Rng rng(46);
+  for (int i = 0; i < kRots; ++i) {
+    EXPECT_TRUE(store.corrupt(1, rng.below(kSize)));
+    (void)store.scrub();
+    // Three passes between them: one writer made two, the later of which
+    // began after the rot.
+    const std::uint64_t target = passes.load() + 3;
+    while (passes.load() < target) std::this_thread::sleep_for(kPoll);
+    (void)store.scrub();
+    const std::uint64_t seen = reads.load();
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (reads.load() == seen && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(kPoll);
+  }
+  stop.store(true);
+  w1.join();
+  w2.join();
+  r.join();
+
+  EXPECT_EQ(crc_wrong.load(), 0u);
+  EXPECT_GE(reads.load(), static_cast<std::uint64_t>(kRots));
+  // One whole rewrite with piece CRCs leaves every block and sum clean.
+  store.pwrite(1, ByteSpan(image.data(), image.size()), 0,
+               piece_crcs(ByteSpan(image.data(), image.size()), 0, kBlock));
+  const ScrubReport rep = store.scrub();
+  EXPECT_EQ(rep.mismatched, 0u);
+  EXPECT_FALSE(store.is_quarantined(1));
+  Bytes back(kSize);
+  std::uint32_t crc = 0;
+  EXPECT_EQ(store.pread(1, MutByteSpan(back.data(), back.size()), 0, &crc), kSize);
+  EXPECT_EQ(back, image);
+  EXPECT_EQ(crc, crc32c(ByteSpan(image.data(), image.size())));
 }
 
 // --- wire checksums: negotiation + interop ----------------------------------
