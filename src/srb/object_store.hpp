@@ -3,13 +3,30 @@
 // than writes (cache vs. commit), which is what skews the paper's Fig. 8
 // read gains above the write gains.
 //
-// At-rest integrity: every object carries one CRC32C per checksum_block
-// bytes, recomputed on the blocks a pwrite/truncate touches (or derived
-// from the writer's own CRCs of the bytes) and verified on the blocks a
-// pread covers. A mismatch throws IntegrityError (the server
-// maps it to kChecksumMismatch, keeping the session); scrub() walks every
-// block, quarantines objects that fail, and heals quarantined objects that
-// verify clean again (after being rewritten). Reads of a quarantined
+// Layout: an object is a vector of checksum_block-sized blocks (the last
+// may be short), each an immutable simnet::SharedSlice with its CRC32C
+// beside it. A write replaces the blocks it touches. A block it covers
+// whole is taken from the write's bytes: the SharedSlice pwrite adopts a
+// view of the caller's buffer (the broker's verified request frame), so an
+// aligned stripe is stored without a copy, and its sum is the writer's
+// piece CRC. Only partially covered edge blocks are built by copy-merge.
+// No block is ever changed in place: corrupt() flips a bit in a clone.
+// Zero-extension gaps and truncate growth share one immutable zero block.
+//
+// Memory bound: an adopted block keeps its whole source buffer alive. When
+// an object's blocks hold less than a quarter of such a buffer, they are
+// copied out into buffers of their own, so the buffers an object keeps
+// alive (held_bytes) stay within 4x its size. Replaced blocks are released
+// after the object lock is dropped.
+//
+// At-rest integrity: every block's sum is verified on the blocks a pread
+// covers. A mismatch throws IntegrityError (the server maps it to
+// kChecksumMismatch, keeping the session). A partial write or truncate
+// checks a block's surviving bytes against its old sum before merging: on
+// a mismatch the new sum keeps the mismatch, so rot is never laundered into
+// a fresh sum; only a full-block rewrite heals the block. scrub() walks
+// every block, quarantines objects that fail, and heals quarantined objects
+// that verify clean again (after being rewritten). Reads of a quarantined
 // object throw the quarantined flavour (wire status kQuarantined,
 // non-retryable); writes stay allowed — they are the repair path.
 #pragma once
@@ -23,6 +40,7 @@
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
+#include "simnet/socket.hpp"
 #include "simnet/token_bucket.hpp"
 #include "srb/mcat.hpp"
 
@@ -87,6 +105,11 @@ class ObjectStore {
   /// stored bytes, so a consumer checking it also checks the copy.
   std::size_t pread(ObjectId id, MutByteSpan out, std::uint64_t offset,
                     std::uint32_t* crc = nullptr);
+  /// pread that appends up to `len` bytes to `out` instead of filling a
+  /// span, so a reply frame grows by exactly the bytes read and is never
+  /// zero-filled first.
+  std::size_t pread_append(ObjectId id, Bytes& out, std::size_t len,
+                           std::uint64_t offset, std::uint32_t* crc = nullptr);
 
   /// pwrite semantics: writes all of `data` at `offset`, zero-extending any
   /// gap. Concurrent writers to disjoint ranges are safe. Returns the
@@ -94,11 +117,19 @@ class ObjectStore {
   /// per-object mutex, so per-tenant footprints can be settled exactly.
   /// `piece_crcs`, when it has pieces(offset, data.size()) entries, holds
   /// the CRC32C of `data` cut at the block grid, one per block the write
-  /// touches: each such block adopts its piece's CRC and hashes only its
-  /// bytes outside the write, so its sum is the CRC of the bytes the caller
-  /// checksummed, and a bad copy into the store surfaces on the next read
-  /// or scrub. Otherwise every touched block is rehashed.
+  /// touches: each such block adopts its piece's CRC, and an edge block
+  /// hashes only its old bytes (to check its old sum and to sum the bytes
+  /// it keeps), so its sum is the CRC of the bytes the caller checksummed,
+  /// and a bad copy into the store surfaces on the next read or scrub.
+  /// Otherwise every touched block is rehashed. This overload copies
+  /// `data` once, into fresh blocks.
   std::uint64_t pwrite(ObjectId id, ByteSpan data, std::uint64_t offset,
+                       std::span<const std::uint32_t> piece_crcs = {});
+  /// The same write, but every block `data` covers whole becomes a view of
+  /// data's buffer instead of a copy. The buffer must stay unchanged while
+  /// the store holds it (SharedSlice buffers are const).
+  std::uint64_t pwrite(ObjectId id, const simnet::SharedSlice& data,
+                       std::uint64_t offset,
                        std::span<const std::uint32_t> piece_crcs = {});
 
   /// Bytes per block sum; 0 when checksums are off.
@@ -114,10 +145,14 @@ class ObjectStore {
   std::uint64_t size(ObjectId id) const;
 
   std::uint64_t total_bytes() const;
+  /// Bytes the object's blocks keep alive: the capacity of every distinct
+  /// buffer they view (adopted frames, own blocks, the shared zero block).
+  std::uint64_t held_bytes(ObjectId id) const;
 
   // --- integrity ------------------------------------------------------------
   /// Bit-rot injection: flips one bit of the stored byte at `offset`
-  /// WITHOUT updating the block CRC (the whole point). Returns false when
+  /// WITHOUT updating the block CRC (the whole point); the flip lands in a
+  /// copy of the block, never in a buffer it views. Returns false when
   /// the object is absent or the offset past EOF. Test/chaos hook; wired to
   /// simnet::FaultInjector::rot by the harness.
   bool corrupt(ObjectId id, std::uint64_t offset);
@@ -130,27 +165,32 @@ class ObjectStore {
   bool is_quarantined(ObjectId id) const;
 
  private:
-  struct Object {
-    /// Shared for pread/size/is_quarantined, so readers verify and copy in
-    /// parallel; exclusive for everything that changes data, sums or the
-    /// quarantine flag.
-    mutable std::shared_mutex mu;
-    Bytes data;
-    /// CRC32C per checksum_block chunk of `data` (empty when disabled).
-    std::vector<std::uint32_t> sums;
-    bool quarantined = false;
-  };
+  struct Object;  // blocks, sums and lock; defined in object_store.cpp
 
   std::shared_ptr<Object> find(ObjectId id) const;
-  /// Recomputes the sums of the blocks covering [begin, end); caller holds
-  /// the object mutex exclusively. Non-empty `piece_crcs` are the CRCs of
-  /// the bytes just written at [at, end), one per block they touch; those
-  /// blocks adopt them (see pwrite).
-  void rehash_range(Object& obj, std::uint64_t begin, std::uint64_t end,
-                    std::uint64_t at = 0,
-                    std::span<const std::uint32_t> piece_crcs = {}) const;
+  /// The body of both pwrites: writes `data` at `offset`, adopting whole
+  /// blocks from `src` when it is given (`data` is then its view).
+  std::uint64_t write(ObjectId id, ByteSpan data, const simnet::SharedSlice* src,
+                      std::uint64_t offset,
+                      std::span<const std::uint32_t> piece_crcs);
+  /// Replaces the blocks [offset, end) touches, growing the object to `end`
+  /// if it is shorter (empty `data` past EOF only zero-extends); caller
+  /// holds the object mutex exclusively.
+  void write_blocks(Object& obj, ByteSpan data, const simnet::SharedSlice* src,
+                    std::uint64_t offset,
+                    std::span<const std::uint32_t> piece_crcs) const;
+  /// Verifies the blocks [offset, offset + len) touches and hands their
+  /// in-range bytes to `put`, under the shared lock; returns the count.
+  template <class Put>
+  std::size_t read(ObjectId id, std::uint64_t offset, std::size_t len,
+                   std::uint32_t* crc, Put put);
+  /// CRC32C of `n` zero bytes (n <= checksum_block).
+  std::uint32_t zero_crc(std::uint64_t n) const;
 
   StoreConfig cfg_;
+  /// checksum_block zero bytes, shared by every zero block, and their CRC.
+  std::shared_ptr<const Bytes> zeros_;
+  std::uint32_t zero_sum_ = 0;
   mutable std::mutex mu_;
   std::map<ObjectId, std::shared_ptr<Object>> objects_;
   simnet::TokenBucket disk_read_;

@@ -58,33 +58,12 @@ class SrbServer::Session {
     try {
       for (;;) {
         // The frame views the client's own send buffer and keeps it alive
-        // while the op dispatches, so write payloads go to the store
-        // straight out of it.
-        const simnet::SharedSlice msg = recv_frame(*sock_);
-        if (msg.empty()) break;
-        ByteSpan frame = msg.view();
-        plan_cuts(crc_ ? frame : ByteSpan());
-        if (crc_ && !strip_frame_crc(frame, cuts_, pieces_)) {
-          // Request arrived corrupted. Framing held (the length prefix is
-          // uncovered by design), so the stream is still in phase: report
-          // the mismatch in rhythm and let the client re-send. Crucially
-          // the frame is NOT dispatched — a flipped bit in a write payload
-          // must never reach the store.
-          reply(Status::kChecksumMismatch);
-          continue;
-        }
-        ByteReader r(frame);
-        const auto op = static_cast<Op>(r.u8());
-        bool keep = true;
-        try {
-          keep = dispatch(op, r);
-        } catch (const IntegrityError& e) {
-          // At-rest corruption detected while servicing the op. The session
-          // survives: quarantine is permanent until repaired, a plain
-          // mismatch is retryable (scrub may heal, replicas may differ).
-          reply(e.quarantined() ? Status::kQuarantined
-                                : Status::kChecksumMismatch);
-        }
+        // while the op dispatches, so a write's whole blocks become store
+        // blocks straight out of it.
+        req_ = recv_frame(*sock_);
+        if (req_.empty()) break;
+        const bool keep = serve(req_.view());
+        req_ = {};  // not held while waiting for the next request
         if (!keep) break;
       }
     } catch (const simnet::NetError& e) {
@@ -96,13 +75,38 @@ class SrbServer::Session {
     done_.store(true, std::memory_order_release);
   }
 
+  /// Verifies and dispatches one request frame; false ends the session.
+  bool serve(ByteSpan frame) {
+    plan_cuts(crc_ ? frame : ByteSpan());
+    if (crc_ && !strip_frame_crc(frame, cuts_, pieces_)) {
+      // Request arrived corrupted. Framing held (the length prefix is
+      // uncovered by design), so the stream is still in phase: report the
+      // mismatch in rhythm and let the client re-send. Crucially the frame
+      // is NOT dispatched — a flipped bit in a write payload must never
+      // reach the store.
+      reply(Status::kChecksumMismatch);
+      return true;
+    }
+    ByteReader r(frame);
+    const auto op = static_cast<Op>(r.u8());
+    try {
+      return dispatch(op, r);
+    } catch (const IntegrityError& e) {
+      // At-rest corruption detected while servicing the op. The session
+      // survives: quarantine is permanent until repaired, a plain mismatch
+      // is retryable (scrub may heal, replicas may differ).
+      reply(e.quarantined() ? Status::kQuarantined : Status::kChecksumMismatch);
+      return true;
+    }
+  }
+
   /// Plans where verifying `frame` cuts a write's payload: where it starts,
   /// where it crosses the store's block grid, and where it ends. The one
   /// verify pass then leaves in pieces_ the CRC of each payload piece, and
   /// transfer() hands them to the store to adopt as block sums instead of
-  /// rehashing the bytes it copied. Only the header is read, before the
-  /// frame is verified: a wrong cut only moves where the hashing splits,
-  /// and the trailer still covers every byte. No cuts for other verbs, a
+  /// rehashing the bytes. Only the header is read, before the frame is
+  /// verified: a wrong cut only moves where the hashing splits, and the
+  /// trailer still covers every byte. No cuts for other verbs, a
   /// file-pointer write, a header that does not parse or match the frame,
   /// or a store without checksums: then the verify is one pass, as before.
   void plan_cuts(ByteSpan frame) {
@@ -436,11 +440,13 @@ class SrbServer::Session {
   /// With `at_fp` the single extent starts at the fd's file pointer, which
   /// then advances past the bytes moved; the pointer only grows by bytes
   /// the store holds or by a seek below 2^63, so that extent cannot wrap.
-  /// A write hands the store the piece CRCs its frame verify left in
-  /// pieces_. Returns the kOk reply with `head` bytes after the status for
-  /// the verb to fill; a read's bytes follow them, preaded straight into the
-  /// frame with their CRC, and each extent's len becomes the bytes actually
-  /// read. A refused op has been answered and returns nullopt.
+  /// A write hands the store its payload as slices of the request frame,
+  /// whose whole blocks the store adopts, with the piece CRCs the frame
+  /// verify left in pieces_. Returns the kOk reply with `head` bytes after
+  /// the status for the verb to fill; a read's bytes follow them, appended
+  /// by the store's verify with their CRC (the frame is never zero-filled),
+  /// and each extent's len becomes the bytes actually read. A refused op
+  /// has been answered and returns nullopt.
   std::optional<DataReply> transfer(bool write, std::int32_t fd, ExtentList& xs,
                                 bool at_fp, ByteSpan data, std::size_t head) {
     const auto it = fds_.find(fd);
@@ -475,8 +481,10 @@ class SrbServer::Session {
     }
     const std::uint64_t data_bytes = write ? 0 : total_bytes(xs);
     DataReply rep{reply_frame(Status::kOk, head + data_bytes)};
-    const std::size_t data_at = rep.frame.size() + head;
-    rep.frame.resize(data_at + data_bytes);
+    rep.frame.resize(rep.frame.size() + head);
+    // Where `data` starts in the request frame's buffer.
+    const std::size_t data_at =
+        data.empty() ? 0 : static_cast<std::size_t>(data.data() - req_.buf->data());
     std::span<const std::uint32_t> crcs = pieces_;
     std::size_t done = 0;
     std::uint64_t growth = 0;
@@ -484,20 +492,18 @@ class SrbServer::Session {
       const auto n = static_cast<std::size_t>(x.len);
       if (write) {
         const std::size_t k = std::min(crcs.size(), store.pieces(x.offset, n));
-        growth += store.pwrite(st.object, data.subspan(done, n), x.offset,
-                               crcs.first(k));
+        const simnet::SharedSlice piece{req_.buf, data_at + done, data_at + done + n};
+        growth += store.pwrite(st.object, piece, x.offset, crcs.first(k));
         crcs = crcs.subspan(k);
       } else {
         std::uint32_t crc = 0;
-        x.len = store.pread(st.object,
-                            MutByteSpan(rep.frame.data() + data_at + done, n),
-                            x.offset, crc_ ? &crc : nullptr);
+        x.len = store.pread_append(st.object, rep.frame, n, x.offset,
+                                   crc_ ? &crc : nullptr);
         rep.data_crc = crc32c_combine(rep.data_crc, crc, x.len);
       }
       done += x.len;
     }
     rep.data_len = write ? 0 : done;
-    rep.frame.resize(data_at + rep.data_len);
     if (write && tenant_ != nullptr)
       tenant_->adjust_bytes(static_cast<std::int64_t>(growth) -
                             static_cast<std::int64_t>(reserved));
@@ -645,6 +651,7 @@ class SrbServer::Session {
   std::map<std::int32_t, FdState> fds_;
   std::int32_t next_fd_ = 3;
   std::atomic<bool> done_{false};
+  simnet::SharedSlice req_;  // the request being served (see loop)
   // Tenant identity bound at kConnect (null = untenanted legacy session).
   TenantRegistry::Tenant* tenant_ = nullptr;
   std::string prefix_;  // "/tenants/<name>" namespace carve-out, or empty

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <future>
 #include <thread>
 
@@ -392,6 +393,16 @@ std::vector<std::uint32_t> piece_crcs(ByteSpan data, std::uint64_t offset,
   return out;
 }
 
+/// `payload` in a fresh buffer laid out like a request frame, a header
+/// before it and a CRC trailer after it: the slice the broker hands the
+/// adopting pwrite.
+simnet::SharedSlice frame_slice(ByteSpan payload) {
+  constexpr std::size_t kHead = 21;
+  auto buf = std::make_shared<Bytes>(kHead + payload.size() + 4, '\x5a');
+  std::copy(payload.begin(), payload.end(), buf->begin() + kHead);
+  return {std::move(buf), kHead, kHead + payload.size()};
+}
+
 TEST(ObjectStore, PreadReportsCrcOfReturnedBytes) {
   StoreConfig small;
   small.checksum_block = 4096;
@@ -513,12 +524,204 @@ TEST(ObjectStore, WrongPieceCrcCaughtByNextRead) {
   EXPECT_TRUE(store.is_quarantined(1));
 }
 
-TEST(ObjectStoreConcurrency, SharedReadersWriterAndRotNeverReturnWrongBytes) {
-  // Two readers on disjoint halves share the object lock while a writer, a
-  // rot injector and a scrubber take it exclusively. Every byte stays
-  // pattern(offset) unless rot flipped it, so a read that returns data must
-  // return exactly the pattern: rotted bytes only ever surface as
-  // IntegrityError (mismatch or quarantine), never as silently wrong data.
+TEST(ObjectStore, PartialWriteNeverLaundersRot) {
+  // A partial write checks the bytes it leaves in an edge block against the
+  // block's old sum before merging them: rot there keeps the block bad
+  // instead of joining a fresh sum. The write still lands, and a full-block
+  // rewrite heals the block.
+  for (const bool with_crcs : {false, true}) {
+    SCOPED_TRACE(with_crcs);
+    ObjectStore store;
+    store.create(1);
+    Bytes model = Rng(12).bytes(100000);
+    store.pwrite(1, ByteSpan(model.data(), model.size()), 0);
+    ASSERT_TRUE(store.corrupt(1, 10));
+    const auto write = [&](const char* text, std::uint64_t offset) {
+      const Bytes patch = to_bytes(text);
+      const ByteSpan p(patch.data(), patch.size());
+      store.pwrite(1, p, offset,
+                   with_crcs ? piece_crcs(p, offset, 65536) : std::vector<std::uint32_t>{});
+      std::copy(patch.begin(), patch.end(), model.begin() + static_cast<std::ptrdiff_t>(offset));
+    };
+    write("fresh", 1000);
+    Bytes back(100);
+    EXPECT_THROW(store.pread(1, MutByteSpan(back.data(), 100), 0), IntegrityError);
+    // Straddling into the clean block 1: its part lands and reads back.
+    write("straddling", 65530);
+    EXPECT_THROW(store.pread(1, MutByteSpan(back.data(), 100), 0), IntegrityError);
+    ASSERT_EQ(store.pread(1, MutByteSpan(back.data(), 4), 65536), 4u);
+    EXPECT_EQ(to_string(ByteSpan(back.data(), 4)), "ling");
+    const ScrubReport rep = store.scrub();
+    EXPECT_EQ(rep.mismatched, 1u);
+    EXPECT_TRUE(store.is_quarantined(1));
+    store.pwrite(1, ByteSpan(model.data(), 65536), 0);
+    EXPECT_EQ(store.scrub().healed, 1u);
+    Bytes all(model.size());
+    ASSERT_EQ(store.pread(1, MutByteSpan(all.data(), all.size()), 0), model.size());
+    EXPECT_EQ(all, model);
+  }
+}
+
+TEST(ObjectStore, ShrinkingTruncateNeverLaundersRot) {
+  // A truncate that cuts a block checks the whole old block against its sum
+  // first, as a partial write does.
+  ObjectStore store;
+  store.create(1);
+  const Bytes data = Rng(13).bytes(100000);
+  store.pwrite(1, ByteSpan(data.data(), data.size()), 0);
+  ASSERT_TRUE(store.corrupt(1, 10));
+  store.truncate(1, 50000);
+  Bytes back(100);
+  EXPECT_THROW(store.pread(1, MutByteSpan(back.data(), back.size()), 0), IntegrityError);
+  EXPECT_EQ(store.scrub().mismatched, 1u);
+  store.pwrite(1, ByteSpan(data.data(), 50000), 0);
+  EXPECT_EQ(store.scrub().healed, 1u);
+  Bytes all(50000);
+  ASSERT_EQ(store.pread(1, MutByteSpan(all.data(), all.size()), 0), all.size());
+  EXPECT_TRUE(std::equal(all.begin(), all.end(), data.begin()));
+}
+
+TEST(ObjectStore, TruncateGrowSharesOneZeroBlock) {
+  // Growth by truncate or by a gap write views one shared zero block: 1 GiB
+  // of growth allocates no 1 GiB, reads back as zeros and scrubs clean.
+  constexpr std::uint64_t kGiB = 1ull << 30;
+  ObjectStore store;
+  store.create(1);
+  const Bytes head = Rng(14).bytes(1000);
+  store.pwrite(1, ByteSpan(head.data(), head.size()), 0);
+  EXPECT_EQ(store.truncate(1, kGiB), static_cast<std::int64_t>(kGiB - head.size()));
+  EXPECT_LT(store.held_bytes(1), 1u << 20);
+  const ScrubReport rep = store.scrub();
+  EXPECT_EQ(rep.blocks, kGiB / 65536);
+  EXPECT_EQ(rep.mismatched, 0u);
+  Bytes back(8u << 20);
+  const Bytes zeros(back.size(), '\0');
+  for (std::uint64_t off = 0; off < kGiB; off += back.size()) {
+    ASSERT_EQ(store.pread(1, MutByteSpan(back.data(), back.size()), off), back.size());
+    if (off == 0) {
+      EXPECT_TRUE(std::equal(head.begin(), head.end(), back.begin()));
+      std::fill_n(back.begin(), head.size(), '\0');
+    }
+    ASSERT_EQ(std::memcmp(back.data(), zeros.data(), back.size()), 0) << "at " << off;
+  }
+  store.pwrite(1, ByteSpan(head.data(), head.size()), 2 * kGiB);
+  EXPECT_LT(store.held_bytes(1), 1u << 20);
+  EXPECT_EQ(store.truncate(1, 0), -static_cast<std::int64_t>(2 * kGiB + head.size()));
+}
+
+// --- adopting writes ---------------------------------------------------------
+
+TEST(ObjectStore, ShiftedOverwritesStayWithinFourTimesTheObject) {
+  // 1 MiB writes, each 64 KiB past the last, leave one block of each frame
+  // live. The quarter rule copies such stragglers out, so the buffers the
+  // object keeps alive stay within 4x its size instead of one 1 MiB frame
+  // per 64 KiB of data.
+  constexpr std::size_t kMiB = 1u << 20;
+  ObjectStore store;
+  store.create(1);
+  Bytes model;
+  Rng rng(18);
+  for (std::uint64_t k = 0; k < 64; ++k) {
+    const Bytes data = rng.bytes(kMiB);
+    const ByteSpan d(data.data(), data.size());
+    store.pwrite(1, frame_slice(d), k * 65536, piece_crcs(d, k * 65536, 65536));
+    model.resize(std::max<std::size_t>(model.size(), k * 65536 + kMiB));
+    std::copy(data.begin(), data.end(), model.begin() + static_cast<std::ptrdiff_t>(k * 65536));
+    ASSERT_LE(store.held_bytes(1), 4 * store.size(1)) << "after write " << k;
+  }
+  EXPECT_EQ(store.scrub().mismatched, 0u);
+  Bytes back(model.size());
+  ASSERT_EQ(store.pread(1, MutByteSpan(back.data(), back.size()), 0), model.size());
+  EXPECT_EQ(back, model);
+}
+
+TEST(ObjectStore, RandomMixStaysWithinFourTimesTheObject) {
+  // Adopting and copying writes at random offsets and lengths, with and
+  // without piece CRCs, and truncates: after every op the held buffers stay
+  // within 4x the object, and at the end the bytes and sums are the model's.
+  ObjectStore store;
+  store.create(1);
+  Bytes model;
+  Rng rng(19);
+  for (int op = 0; op < 200; ++op) {
+    if (rng.below(10) == 0) {
+      const std::uint64_t size = rng.below(3u << 20);
+      store.truncate(1, size);
+      model.resize(size, '\0');
+    } else {
+      const std::uint64_t offset = rng.below(3u << 20);
+      const Bytes data = rng.bytes(1 + rng.below(600000));
+      const ByteSpan d(data.data(), data.size());
+      const auto crcs =
+          rng.below(2) == 0 ? piece_crcs(d, offset, 65536) : std::vector<std::uint32_t>{};
+      if (rng.below(4) == 0)
+        store.pwrite(1, d, offset, crcs);
+      else
+        store.pwrite(1, frame_slice(d), offset, crcs);
+      model.resize(std::max<std::size_t>(model.size(), offset + data.size()), '\0');
+      std::copy(data.begin(), data.end(), model.begin() + static_cast<std::ptrdiff_t>(offset));
+    }
+    ASSERT_EQ(store.size(1), model.size());
+    ASSERT_LE(store.held_bytes(1), 4 * store.size(1)) << "after op " << op;
+  }
+  EXPECT_EQ(store.scrub().mismatched, 0u);
+  Bytes back(model.size());
+  ASSERT_EQ(store.pread(1, MutByteSpan(back.data(), back.size()), 0), model.size());
+  EXPECT_EQ(back, model);
+}
+
+TEST(ObjectStoreAdopt, CoveredBlocksViewTheFrame) {
+  // An aligned write through the adopting pwrite stores no copy: every
+  // block views the one frame buffer. An unaligned one adopts the blocks it
+  // covers whole and copy-merges its two edge blocks.
+  ObjectStore store;
+  store.create(1);
+  Bytes model = Rng(15).bytes(8 * 65536);
+  ByteSpan m(model.data(), model.size());
+  const simnet::SharedSlice first = frame_slice(m);
+  store.pwrite(1, first, 0, piece_crcs(m, 0, 65536));
+  EXPECT_EQ(store.held_bytes(1), first.buf->capacity());
+
+  const Bytes data = Rng(16).bytes(3 * 65536);
+  const ByteSpan d(data.data(), data.size());
+  const simnet::SharedSlice second = frame_slice(d);
+  store.pwrite(1, second, 100, piece_crcs(d, 100, 65536));
+  std::copy(data.begin(), data.end(), model.begin() + 100);
+  EXPECT_EQ(store.held_bytes(1),
+            first.buf->capacity() + second.buf->capacity() + 2 * 65536);
+  EXPECT_EQ(store.scrub().mismatched, 0u);
+  Bytes back(model.size());
+  ASSERT_EQ(store.pread(1, MutByteSpan(back.data(), back.size()), 0), model.size());
+  EXPECT_EQ(back, model);
+}
+
+TEST(ObjectStoreAdopt, CorruptClonesTheBlockAndLeavesTheSenderBuffer) {
+  // Blocks are immutable: rot lands in a copy of the adopted block, so the
+  // sender's buffer stays byte-identical, and the read still throws.
+  ObjectStore store;
+  store.create(1);
+  const Bytes data = Rng(17).bytes(4 * 65536);
+  const ByteSpan d(data.data(), data.size());
+  const simnet::SharedSlice frame = frame_slice(d);
+  const Bytes sent = *frame.buf;
+  store.pwrite(1, frame, 0, piece_crcs(d, 0, 65536));
+  ASSERT_TRUE(store.corrupt(1, 70000));
+  EXPECT_EQ(*frame.buf, sent);
+  Bytes back(100);
+  EXPECT_THROW(store.pread(1, MutByteSpan(back.data(), back.size()), 69990), IntegrityError);
+  ASSERT_EQ(store.pread(1, MutByteSpan(back.data(), back.size()), 0), back.size());
+  EXPECT_TRUE(std::equal(back.begin(), back.end(), data.begin()));
+}
+
+/// Two readers on disjoint halves share the object lock while a writer, a
+/// rot injector and a scrubber take it exclusively. Every byte stays
+/// pattern(offset) unless rot flipped it, so a read that returns data must
+/// return exactly the pattern: rotted bytes only ever surface as
+/// IntegrityError (mismatch or quarantine), never as silently wrong data.
+/// With `adopt` the writer sends each block in a fresh frame-like buffer
+/// through the adopting pwrite and drops it at once, so the store holds the
+/// only reference and releases the old block's buffer on the next rewrite.
+void readers_writer_and_rot(bool adopt) {
   constexpr std::size_t kBlock = 64u * 1024;
   constexpr std::size_t kSize = 4 * kBlock;
   constexpr std::size_t kChunk = 48u * 1024;  // straddles block boundaries
@@ -563,7 +766,11 @@ TEST(ObjectStoreConcurrency, SharedReadersWriterAndRotNeverReturnWrongBytes) {
   // repairs whatever the rot injector broke.
   const auto writer = [&] {
     for (std::uint64_t b = 0; !stop.load(); b = (b + 1) % (kSize / kBlock)) {
-      store.pwrite(1, ByteSpan(image.data() + b * kBlock, kBlock), b * kBlock);
+      const ByteSpan block(image.data() + b * kBlock, kBlock);
+      if (adopt)
+        store.pwrite(1, frame_slice(block), b * kBlock);
+      else
+        store.pwrite(1, block, b * kBlock);
       block_writes.fetch_add(1);
       std::this_thread::yield();
     }
@@ -600,13 +807,21 @@ TEST(ObjectStoreConcurrency, SharedReadersWriterAndRotNeverReturnWrongBytes) {
   EXPECT_EQ(back, image);
 }
 
+TEST(ObjectStoreConcurrency, SharedReadersWriterAndRotNeverReturnWrongBytes) {
+  readers_writer_and_rot(/*adopt=*/false);
+}
+
+TEST(ObjectStoreConcurrency, AdoptingWriterReadersAndRotNeverReturnWrongBytes) {
+  readers_writer_and_rot(/*adopt=*/true);
+}
+
 TEST(ObjectStoreConcurrency, ReportedCrcMatchesReturnedBytesUnderWritersRotAndScrub) {
   // A reader asks for the CRC of every range it reads while two writers
   // rewrite the object in unaligned chunks with piece CRCs, rot flips bits
   // and scrubs run. The reported CRC is derived from the stored bytes under
   // the same lock hold as the copy, so it must equal the CRC of the bytes
-  // returned on every read. Rot is not checked against here: a partial
-  // write rehashes the rest of its edge blocks, rot included.
+  // returned on every read. A partial write never launders rot, so a
+  // rotted block stays bad until each round ends with one whole rewrite.
   constexpr std::uint64_t kBlock = 64u * 1024;
   constexpr std::size_t kSize = 4 * kBlock;
   constexpr int kRots = 16;
@@ -661,6 +876,8 @@ TEST(ObjectStoreConcurrency, ReportedCrcMatchesReturnedBytesUnderWritersRotAndSc
     // began after the rot.
     const std::uint64_t target = passes.load() + 3;
     while (passes.load() < target) std::this_thread::sleep_for(kPoll);
+    store.pwrite(1, ByteSpan(image.data(), image.size()), 0,
+                 piece_crcs(ByteSpan(image.data(), image.size()), 0, kBlock));
     (void)store.scrub();
     const std::uint64_t seen = reads.load();
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
