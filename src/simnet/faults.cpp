@@ -49,10 +49,12 @@ void FaultInjector::set_latency_spike(double p, double sim_seconds) {
 }
 
 void FaultInjector::set_corrupt_probability(double p,
-                                            const std::string& tag_substr) {
+                                            const std::string& tag_substr,
+                                            bool responses_only) {
   std::lock_guard lk(mu_);
   corrupt_p_ = p;
   corrupt_tag_ = tag_substr;
+  corrupt_responses_only_ = responses_only;
 }
 
 void FaultInjector::set_rot_hook(
@@ -151,7 +153,8 @@ bool FaultInjector::drop_send(const std::string& tag) {
 bool FaultInjector::corrupt_send(const std::string& tag, bool server_end,
                                  std::uint64_t nbits, std::uint64_t& bit) {
   std::lock_guard lk(mu_);
-  if (corrupt_p_ <= 0 || nbits == 0 || !tag_matches(tag, corrupt_tag_))
+  if (corrupt_p_ <= 0 || nbits == 0 || !tag_matches(tag, corrupt_tag_) ||
+      (corrupt_responses_only_ && !server_end))
     return false;
   const std::uint64_t d =
       draw_locked(tag, server_end ? kCorruptServer : kCorruptClient);

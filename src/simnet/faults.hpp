@@ -51,8 +51,10 @@ class FaultInjector {
   void set_latency_spike(double p, double sim_seconds);
   /// Probability that a send's payload suffers one flipped bit in flight,
   /// restricted to connections whose tag contains `tag_substr` (all when
-  /// empty). The connection survives — the bytes just arrive wrong.
-  void set_corrupt_probability(double p, const std::string& tag_substr = "");
+  /// empty) and, with `responses_only`, to the server end's corrupt-only
+  /// sends. The connection survives — the bytes just arrive wrong.
+  void set_corrupt_probability(double p, const std::string& tag_substr = "",
+                               bool responses_only = false);
   /// Registers the at-rest rot target (typically ObjectStore::corrupt).
   void set_rot_hook(std::function<void(std::uint64_t, std::uint64_t)> hook);
   /// Flips one stored bit of `object_id` at `offset` via the rot hook.
@@ -110,6 +112,7 @@ class FaultInjector {
   double spike_s_ = 0.0;
   double corrupt_p_ = 0.0;
   std::string corrupt_tag_;
+  bool corrupt_responses_only_ = false;
   std::optional<std::string> armed_kill_;
   std::vector<std::string> bans_;
   std::function<void(std::uint64_t, std::uint64_t)> rot_hook_;

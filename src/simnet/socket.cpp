@@ -6,6 +6,29 @@
 #include "simnet/timescale.hpp"
 
 namespace remio::simnet {
+
+void append_slice(std::vector<SharedSlice>& parts, SharedSlice s) {
+  if (!parts.empty() && parts.back().buf == s.buf && parts.back().end == s.begin)
+    parts.back().end = s.end;
+  else
+    parts.push_back(std::move(s));
+}
+
+std::size_t total_size(const std::vector<SharedSlice>& parts) {
+  std::size_t n = 0;
+  for (const SharedSlice& p : parts) n += p.size();
+  return n;
+}
+
+SharedSlice gather(std::vector<SharedSlice>&& parts) {
+  if (parts.size() == 1) return std::move(parts.front());
+  Bytes out;
+  out.reserve(total_size(parts));
+  for (const SharedSlice& p : parts) out.insert(out.end(), p.view().begin(), p.view().end());
+  const std::size_t n = out.size();
+  return n == 0 ? SharedSlice{} : SharedSlice{std::make_shared<const Bytes>(std::move(out)), 0, n};
+}
+
 namespace detail {
 
 void Pipe::push(std::shared_ptr<const Bytes> buf, std::size_t begin,
@@ -82,8 +105,14 @@ void Socket::set_fault(std::shared_ptr<FaultInjector> fault, std::string tag,
 }
 
 void Socket::send_all(Bytes&& data) {
+  const std::size_t size = data.size();
+  send_all({SharedSlice{std::make_shared<const Bytes>(std::move(data)), 0, size}});
+}
+
+void Socket::send_all(std::vector<SharedSlice> parts) {
   if (closed_.load(std::memory_order_acquire))
     throw NetError("send on closed socket");
+  const std::size_t size = total_size(parts);
   if (fault_ != nullptr) {
     if (!fault_corrupt_only_) {
       const double spike = fault_->latency_penalty(tag_);
@@ -99,53 +128,56 @@ void Socket::send_all(Bytes&& data) {
     // A protocol send is one frame whose length prefix occupies exactly
     // those bytes, so (like real corruption slipping past TCP's 16-bit
     // checksum while the kernel preserves segmentation) the framing stays
-    // in phase and only the content arrives wrong.
+    // in phase and only the content arrives wrong. The part it hits is
+    // replaced by a flipped copy: its buffer may be shared (a store block).
     std::uint64_t bit = 0;
-    if (data.size() > 4 &&
-        fault_->corrupt_send(tag_, fault_corrupt_only_, (data.size() - 4) * 8,
-                             bit))
-      data[4 + static_cast<std::size_t>(bit / 8)] ^=
-          static_cast<char>(1u << (bit % 8));
+    if (size > 4 &&
+        fault_->corrupt_send(tag_, fault_corrupt_only_, (size - 4) * 8, bit)) {
+      std::size_t at = 4 + static_cast<std::size_t>(bit / 8);
+      auto hit = parts.begin();
+      for (; at >= hit->size(); ++hit) at -= hit->size();
+      Bytes flipped(hit->view().begin(), hit->view().end());
+      flipped[at] ^= static_cast<char>(1u << (bit % 8));
+      *hit = SharedSlice{std::make_shared<const Bytes>(std::move(flipped)), 0,
+                         hit->size()};
+    }
   }
-  const std::size_t size = data.size();
-  const auto buf = std::make_shared<const Bytes>(std::move(data));
-  std::size_t off = 0;
-  while (off < size) {
+  auto part = parts.begin();
+  std::size_t at = part != parts.end() ? part->begin : 0;  // next byte of *part
+  for (std::size_t off = 0; off < size;) {
     const std::size_t n = std::min(quantum_, size - off);
     if (stream_cap_) stream_cap_->acquire(n);
     // Class 1 = WAN socket traffic; distinguishes it from interconnect
     // traffic (class 2) on buckets with a contention model (node I/O bus).
     for (const auto& res : path_) res->acquire(n, 1);
-    tx_->push(buf, off, off + n, sim_now() + latency_);
+    const double deliver = sim_now() + latency_;
+    for (std::size_t left = n; left > 0;) {
+      while (at == part->end) at = (++part)->begin;  // skips empty parts
+      const std::size_t k = std::min(left, part->end - at);
+      tx_->push(part->buf, at, at + k, deliver);
+      at += k;
+      left -= k;
+    }
     off += n;
     bytes_sent_.fetch_add(n, std::memory_order_relaxed);
   }
 }
 
-SharedSlice Socket::recv_exact(std::size_t n) {
+std::vector<SharedSlice> Socket::recv_parts(std::size_t n) {
   if (closed_.load(std::memory_order_acquire))
     throw NetError("recv on closed socket");
-  SharedSlice out = rx_->pop(n);
-  std::size_t got = out.size();
-  bytes_received_.fetch_add(got, std::memory_order_relaxed);
-  Bytes gathered;  // filled only once the bytes span several send buffers
-  while (got != 0 && got < n) {
+  std::vector<SharedSlice> parts;
+  for (std::size_t got = 0; got < n;) {
     SharedSlice next = rx_->pop(n - got);
-    if (next.empty()) throw NetError("connection closed mid-message");
+    if (next.empty()) {
+      if (got == 0) return {};  // EOF before the message
+      throw NetError("connection closed mid-message");
+    }
     got += next.size();
     bytes_received_.fetch_add(next.size(), std::memory_order_relaxed);
-    if (gathered.empty() && next.buf == out.buf && next.begin == out.end) {
-      out.end = next.end;  // the next slice of the same send: widen the view
-      continue;
-    }
-    if (gathered.empty()) {
-      gathered.reserve(n);
-      gathered.assign(out.view().begin(), out.view().end());
-    }
-    gathered.insert(gathered.end(), next.view().begin(), next.view().end());
+    append_slice(parts, std::move(next));
   }
-  if (gathered.empty()) return out;
-  return SharedSlice{std::make_shared<const Bytes>(std::move(gathered)), 0, n};
+  return parts;
 }
 
 std::size_t Socket::recv_some(MutByteSpan out) {

@@ -1,12 +1,14 @@
 // Shaped duplex byte-stream connection. Each direction is a Pipe: a bounded
 // queue of chunks stamped with a simulated delivery time (propagation
-// latency). A chunk is a slice of the sender's buffer, which the socket owns
-// from send_all on, so shaping a message into quanta copies nothing, and
-// recv_exact hands a whole message to the receiver as a view of that same
-// buffer. A send charges, in order, the connection's own window-limited
-// bucket (TCP throughput cap = window / RTT — the reason a second stream
-// nearly doubles throughput in §7.2) and every shared resource on the path
-// (node bus, NIC, uplink / NAT, server NIC).
+// latency). A chunk is a slice of a buffer the sender handed over: a
+// message goes out as a list of slices (one owned buffer, or a small head
+// buffer, views of someone else's immutable buffers and a trailer), so
+// shaping a message into quanta copies nothing, and recv_parts hands it to
+// the receiver as views of those same buffers. A send charges, per quantum
+// of the concatenated message, the connection's own window-limited bucket
+// (TCP throughput cap = window / RTT — the reason a second stream nearly
+// doubles throughput in §7.2) and every shared resource on the path (node
+// bus, NIC, uplink / NAT, server NIC).
 #pragma once
 
 #include <atomic>
@@ -49,6 +51,19 @@ struct SharedSlice {
     return buf ? ByteSpan(buf->data() + begin, size()) : ByteSpan();
   }
 };
+
+/// Appends `s` to `parts`, or widens the last part when `s` continues it in
+/// the same buffer, so bytes that were adjacent where they were built stay
+/// one part.
+void append_slice(std::vector<SharedSlice>& parts, SharedSlice s);
+
+/// Total bytes of `parts`.
+std::size_t total_size(const std::vector<SharedSlice>& parts);
+
+/// The concatenation of `parts` as one slice: the single part itself (no
+/// copy), or the bytes of several gathered into one fresh buffer. Empty for
+/// no parts.
+SharedSlice gather(std::vector<SharedSlice>&& parts);
 
 namespace detail {
 
@@ -118,20 +133,29 @@ class Socket {
   Socket(const Socket&) = delete;
   Socket& operator=(const Socket&) = delete;
 
-  /// Sends the whole buffer, charging shaping resources per quantum. The
-  /// socket takes the buffer over: quanta are slices of it, and an injected
-  /// bit flip lands in it in place. Throws NetError if the peer is gone.
+  /// The one send: sends the concatenation of `parts` as one message,
+  /// charging shaping resources per quantum of it, exactly as if it were
+  /// one buffer; a quantum that spans parts is queued as one chunk per part.
+  /// The parts' buffers must stay unchanged while queued (SharedSlice
+  /// buffers are const). An injected bit flip lands in a private copy of
+  /// the one part it hits, never in a buffer the caller shares. Throws
+  /// NetError if the peer is gone.
+  void send_all(std::vector<SharedSlice> parts);
+  /// The one-part case: the socket takes the buffer over.
   void send_all(Bytes&& data);
   /// Copies the span into an owned buffer and sends that; the caller's
   /// bytes are never modified.
   void send_all(ByteSpan data) { send_all(Bytes(data.begin(), data.end())); }
 
-  /// Receives exactly `n` (> 0) bytes as a slice. Bytes that are adjacent
-  /// slices of one send buffer are not copied: a message sent with one
-  /// send_all arrives as a view of the sender's own buffer. Bytes from
-  /// several sends are gathered into one fresh buffer. Returns an empty
-  /// slice on EOF before the first byte; throws NetError on EOF after it.
-  SharedSlice recv_exact(std::size_t n);
+  /// Receives exactly `n` (> 0) bytes as the slices they arrived in, with
+  /// adjacent slices of one buffer merged (append_slice): a message sent as
+  /// one buffer arrives as one view of it, a gathered message as views of
+  /// its parts. Nothing is copied. Returns no parts on EOF before the first
+  /// byte; throws NetError on EOF after it.
+  std::vector<SharedSlice> recv_parts(std::size_t n);
+  /// recv_parts for callers that need the bytes contiguous: one part is
+  /// returned as is, several are gathered into one fresh buffer.
+  SharedSlice recv_exact(std::size_t n) { return gather(recv_parts(n)); }
 
   /// Copying receives. recv_some receives at least one byte (blocking) and
   /// returns 0 on EOF; recv_all receives exactly out.size() bytes and
@@ -160,6 +184,8 @@ class Socket {
     return bytes_received_.load(std::memory_order_relaxed);
   }
   const std::string& peer() const { return peer_; }
+  /// This direction's window cap; null when the connection is uncapped.
+  const TokenBucket* stream_cap() const { return stream_cap_.get(); }
 
   /// Creates a connected pair (client, server). Applies no connect latency
   /// itself — Fabric::connect sleeps the RTT before calling this.

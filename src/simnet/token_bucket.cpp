@@ -84,6 +84,7 @@ void TokenBucket::acquire(std::uint64_t n, int traffic_class) {
     cv_.notify_all();
   }
   consumed_ += n;
+  ++charges_;
 }
 
 std::uint64_t TokenBucket::try_acquire(std::uint64_t n) {
@@ -100,6 +101,11 @@ std::uint64_t TokenBucket::try_acquire(std::uint64_t n) {
 std::uint64_t TokenBucket::consumed() const {
   std::lock_guard lk(mu_);
   return consumed_;
+}
+
+std::uint64_t TokenBucket::charges() const {
+  std::lock_guard lk(mu_);
+  return charges_;
 }
 
 }  // namespace remio::simnet

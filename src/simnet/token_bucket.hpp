@@ -45,6 +45,8 @@ class TokenBucket {
 
   /// Total tokens ever consumed (for tests / stats).
   std::uint64_t consumed() const;
+  /// acquire() calls that consumed tokens (for tests / stats).
+  std::uint64_t charges() const;
 
  private:
   static constexpr int kMaxClasses = 4;
@@ -65,6 +67,7 @@ class TokenBucket {
   std::uint64_t next_ticket_ = 0;
   std::uint64_t serving_ = 0;
   std::uint64_t consumed_ = 0;
+  std::uint64_t charges_ = 0;
 
   double contention_penalty_ = 1.0;
   double contention_window_ = 0.5;

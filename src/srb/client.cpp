@@ -1,6 +1,7 @@
 #include "srb/client.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 namespace remio::srb {
 
@@ -42,6 +43,56 @@ SrbError protocol_error(const char* site, const std::string& what) {
                    /*retryable=*/false, site},
                   what);
 }
+
+/// Takes the first `n` bytes of `parts` (all, if fewer) off its front as
+/// one slice: a view when they lie in one part, else gathered.
+simnet::SharedSlice take_front(std::vector<simnet::SharedSlice>& parts,
+                               std::size_t n) {
+  std::vector<simnet::SharedSlice> front;
+  std::size_t used = 0;  // parts taken whole
+  for (; n > 0 && used < parts.size(); ++used) {
+    simnet::SharedSlice& p = parts[used];
+    const std::size_t k = std::min(n, p.size());
+    front.push_back({p.buf, p.begin, p.begin + k});
+    p.begin += k;
+    n -= k;
+    if (!p.empty()) break;
+  }
+  parts.erase(parts.begin(), parts.begin() + static_cast<std::ptrdiff_t>(used));
+  return simnet::gather(std::move(front));
+}
+
+/// Copies a reply's data slices out front to back.
+class DataReader {
+ public:
+  explicit DataReader(const std::vector<simnet::SharedSlice>& parts)
+      : parts_(parts), left_(simnet::total_size(parts)) {}
+
+  /// Copies the next out.size() bytes into `out`; false, copying nothing,
+  /// when fewer are left.
+  bool read(MutByteSpan out) {
+    if (out.size() > left_) return false;
+    left_ -= out.size();
+    for (std::size_t done = 0; done < out.size();) {
+      const simnet::SharedSlice& p = parts_[part_];
+      const std::size_t k = std::min(out.size() - done, p.size() - at_);
+      std::memcpy(out.data() + done, p.view().data() + at_, k);
+      done += k;
+      at_ += k;
+      if (at_ == p.size()) {
+        ++part_;
+        at_ = 0;
+      }
+    }
+    return true;
+  }
+
+ private:
+  const std::vector<simnet::SharedSlice>& parts_;
+  std::size_t left_;
+  std::size_t part_ = 0;  // the part being read
+  std::size_t at_ = 0;    // bytes of it already read
+};
 
 /// The extent header both list verbs open with.
 void put_extents(ByteWriter& w, std::int32_t fd, const ExtentList& extents) {
@@ -93,7 +144,7 @@ Bytes SrbClient::request(Op op, std::size_t reserve) {
   return frame;
 }
 
-SrbClient::Reply SrbClient::call(Bytes&& frame) {
+SrbClient::Reply SrbClient::call(Bytes&& frame, std::size_t body_head) {
   std::unique_lock lk(mu_);
   if (!connected_)
     throw SrbError(Status::kIoError,
@@ -103,9 +154,9 @@ SrbClient::Reply SrbClient::call(Bytes&& frame) {
                    "client disconnected");
   rpc_count_.fetch_add(1, std::memory_order_relaxed);
   finish_frame(*sock_, std::move(frame), crc_);
-  simnet::SharedSlice reply = recv_frame(*sock_);
-  lk.unlock();  // the reply owns its buffer; nothing below touches the stream
-  if (reply.empty())
+  std::vector<simnet::SharedSlice> parts = recv_frame_parts(*sock_);
+  lk.unlock();  // the reply owns its buffers; nothing below touches the stream
+  if (parts.empty())
     // Mid-stream EOF: the broker died or restarted. Transient — a
     // supervisor can reconnect and replay the op.
     throw SrbError(Status::kIoError,
@@ -113,8 +164,7 @@ SrbClient::Reply SrbClient::call(Bytes&& frame) {
                     static_cast<std::int32_t>(Status::kIoError),
                     /*retryable=*/true, "rpc"},
                    "server closed connection");
-  ByteSpan resp = reply.view();
-  if (crc_ && !strip_frame_crc(resp)) {
+  if (crc_ && !strip_frame_crc(parts)) {
     // The response arrived corrupted. The framing held (the length prefix
     // is uncovered by design), so the stream is still in phase: the next
     // call() simply re-issues the idempotent op. Retryable integrity error.
@@ -125,14 +175,19 @@ SrbClient::Reply SrbClient::call(Bytes&& frame) {
                     /*retryable=*/true, "rpc"},
                    "response frame checksum mismatch");
   }
-  ByteReader r(resp);
-  const auto status = static_cast<Status>(r.i32());
+  Reply rep;
+  rep.head = take_front(parts, 4 + body_head);
+  ByteReader r(rep.head.view());
+  rep.status = static_cast<Status>(r.i32());
   if (!r.ok()) throw protocol_error("rpc", "malformed response");
-  return Reply{std::move(reply), status, r.rest()};
+  rep.body = r.rest();
+  rep.data = std::move(parts);
+  return rep;
 }
 
-SrbClient::Reply SrbClient::call_ok(Bytes&& frame, const char* what) {
-  Reply rep = call(std::move(frame));
+SrbClient::Reply SrbClient::call_ok(Bytes&& frame, const char* what,
+                                    std::size_t body_head) {
+  Reply rep = call(std::move(frame), body_head);
   if (rep.status != Status::kOk)
     throw status_error(rep.status,
                        std::string(what) + ": " + status_name(rep.status));
@@ -164,16 +219,17 @@ std::size_t SrbClient::read_at(std::int32_t fd, MutByteSpan out,
     w.i32(fd);
     w.i64(offset < 0 ? -1 : offset + static_cast<std::int64_t>(total));
     w.u32(static_cast<std::uint32_t>(want));
-    const Reply rep = call_ok(std::move(req), "read");
-    ByteReader r(rep.body);
-    const ByteSpan data = r.blob_view();
+    // The reply's data stays in the slices it arrived in and is copied
+    // from there into the caller's span.
+    const Reply rep = call_ok(std::move(req), "read", 4);
+    const std::uint32_t n = ByteReader(rep.body).u32();
     // A truncated blob is not EOF, and an oversized one must not write
     // past the caller's span.
-    if (!r.ok() || data.size() > want)
+    if (rep.body.size() != 4 || n > want ||
+        !DataReader(rep.data).read(out.subspan(total, n)))
       throw protocol_error("read", "read: malformed response body");
-    std::copy(data.begin(), data.end(), out.begin() + static_cast<std::ptrdiff_t>(total));
-    total += data.size();
-    if (data.size() < want) break;  // EOF
+    total += n;
+    if (n < want) break;  // EOF
   }
   return total;
 }
@@ -217,27 +273,23 @@ std::size_t SrbClient::preadv(std::int32_t fd, const ExtentList& extents,
   Bytes req = request(Op::kObjReadList, 8 + 12 * extents.size());
   ByteWriter w(req);
   put_extents(w, fd, extents);
-  const Reply rep = call_ok(std::move(req), "readv");
+  const Reply rep = call_ok(std::move(req), "readv", 4 + 4 * extents.size());
   ByteReader r(rep.body);
   const std::uint32_t count = r.u32();
   if (count != extents.size())
     throw protocol_error("readv", "readv: extent count mismatch in response");
   std::vector<std::uint32_t> actual(count);
   for (std::uint32_t i = 0; i < count; ++i) actual[i] = r.u32();
-  // Scatter each extent's actual bytes to its packed position; stop at the
-  // first short extent (sorted list: everything later is past EOF too).
+  // Scatter each extent's actual bytes from the reply's slices to its
+  // packed position; stop at the first short extent (sorted list:
+  // everything later is past EOF too).
   std::size_t total = 0;
   std::size_t packed = 0;
-  const ByteSpan data = r.rest();
-  std::size_t consumed = 0;
+  DataReader data(rep.data);
   for (std::uint32_t i = 0; i < count; ++i) {
     if (!r.ok() || actual[i] > extents[i].len ||
-        consumed + actual[i] > data.size())
+        !data.read(out.subspan(packed, actual[i])))
       throw protocol_error("readv", "readv: malformed response body");
-    std::copy(data.begin() + static_cast<std::ptrdiff_t>(consumed),
-              data.begin() + static_cast<std::ptrdiff_t>(consumed + actual[i]),
-              out.begin() + static_cast<std::ptrdiff_t>(packed));
-    consumed += actual[i];
     total += actual[i];
     packed += extents[i].len;
     if (actual[i] < extents[i].len) break;

@@ -138,21 +138,32 @@ class SrbClient {
   static constexpr std::size_t kMaxIoChunk = 8u << 20;
 
  private:
-  /// One response, parsed in place: `body` views `frame`, the broker's own
-  /// reply buffer, which stays alive as long as the Reply does.
+  /// One response, parsed in place. `head` holds the status and the first
+  /// bytes of the body, `body` views those body bytes, and `data` holds the
+  /// rest of the body as the slices it arrived in (a read reply's data:
+  /// views of the broker's store blocks). The slices keep their buffers
+  /// alive as long as the Reply does.
   struct Reply {
-    simnet::SharedSlice frame;
+    simnet::SharedSlice head;
     Status status = Status::kOk;
     ByteSpan body;
+    std::vector<simnet::SharedSlice> data;
   };
+
+  /// Whole body in `head`: the verbs that carry no bulk data.
+  static constexpr std::size_t kWholeBody = SIZE_MAX - 4;
 
   /// Starts a request frame for `op` with room for `reserve` body bytes.
   static Bytes request(Op op, std::size_t reserve);
   /// Sends a request built by request() and receives its response,
-  /// checking the CRC trailer on checksummed sessions.
-  Reply call(Bytes&& frame);
+  /// checking the CRC trailer on checksummed sessions. The first
+  /// `body_head` bytes of the body are made contiguous in Reply::head
+  /// (viewed in place when they arrived in one slice, else gathered); the
+  /// rest stays in Reply::data, never gathered.
+  Reply call(Bytes&& frame, std::size_t body_head = kWholeBody);
   /// Like call() but throws SrbError unless status == kOk.
-  Reply call_ok(Bytes&& frame, const char* what);
+  Reply call_ok(Bytes&& frame, const char* what,
+                std::size_t body_head = kWholeBody);
   /// The pread/read and pwrite/write loops; a negative offset means the
   /// server-side file pointer.
   std::size_t read_at(std::int32_t fd, MutByteSpan out, std::int64_t offset);

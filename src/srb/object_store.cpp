@@ -174,8 +174,8 @@ std::size_t ObjectStore::read(ObjectId id, std::uint64_t offset,
         const auto e = static_cast<std::size_t>(std::min(lo + bytes.size(), end) - lo);
         const ByteSpan in = bytes.subspan(s, e - s);
         if (!cfg_.checksums) {
-          const ByteSpan copy = put(in);
-          if (crc != nullptr) sum = crc32c_combine(sum, crc32c(copy), copy.size());
+          const ByteSpan out = put(blk.bytes, s, e);
+          if (crc != nullptr) sum = crc32c_combine(sum, crc32c(out), out.size());
           continue;
         }
         // Hashed as before-range, in-range and after-range pieces; the
@@ -188,7 +188,7 @@ std::size_t ObjectStore::read(ObjectId id, std::uint64_t offset,
               "at-rest checksum mismatch in object " + std::to_string(id) +
                   " block " + std::to_string(b),
               /*quarantined=*/false);
-        put(in);
+        put(blk.bytes, s, e);
         sum = crc32c_combine(sum, mid, in.size());
       }
     }
@@ -201,19 +201,23 @@ std::size_t ObjectStore::read(ObjectId id, std::uint64_t offset,
 std::size_t ObjectStore::pread(ObjectId id, MutByteSpan out,
                                std::uint64_t offset, std::uint32_t* crc) {
   char* at = out.data();
-  return read(id, offset, out.size(), crc, [&](ByteSpan in) {
-    const ByteSpan copy(at, in.size());
-    at = std::copy(in.begin(), in.end(), at);
-    return copy;
-  });
+  return read(id, offset, out.size(), crc,
+              [&](const simnet::SharedSlice& blk, std::size_t s, std::size_t e) {
+                const ByteSpan copy(at, e - s);
+                at = std::copy_n(blk.view().data() + s, e - s, at);
+                return copy;
+              });
 }
 
-std::size_t ObjectStore::pread_append(ObjectId id, Bytes& out, std::size_t len,
-                                      std::uint64_t offset, std::uint32_t* crc) {
-  return read(id, offset, len, crc, [&](ByteSpan in) {
-    out.insert(out.end(), in.begin(), in.end());
-    return ByteSpan(out).last(in.size());
-  });
+std::size_t ObjectStore::pread_slices(ObjectId id,
+                                      std::vector<simnet::SharedSlice>& out,
+                                      std::size_t len, std::uint64_t offset,
+                                      std::uint32_t* crc) {
+  return read(id, offset, len, crc,
+              [&](const simnet::SharedSlice& blk, std::size_t s, std::size_t e) {
+                simnet::append_slice(out, {blk.buf, blk.begin + s, blk.begin + e});
+                return blk.view().subspan(s, e - s);
+              });
 }
 
 void ObjectStore::write_blocks(Object& obj, ByteSpan data,

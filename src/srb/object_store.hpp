@@ -17,7 +17,9 @@
 // an object's blocks hold less than a quarter of such a buffer, they are
 // copied out into buffers of their own, so the buffers an object keeps
 // alive (held_bytes) stay within 4x its size. Replaced blocks are released
-// after the object lock is dropped.
+// after the object lock is dropped. pread_slices lends a reader views of
+// the blocks instead of a copy; they stay valid after the blocks are
+// replaced and keep the old buffers alive until the reader drops them.
 //
 // At-rest integrity: every block's sum is verified on the blocks a pread
 // covers. A mismatch throws IntegrityError (the server maps it to
@@ -105,11 +107,14 @@ class ObjectStore {
   /// stored bytes, so a consumer checking it also checks the copy.
   std::size_t pread(ObjectId id, MutByteSpan out, std::uint64_t offset,
                     std::uint32_t* crc = nullptr);
-  /// pread that appends up to `len` bytes to `out` instead of filling a
-  /// span, so a reply frame grows by exactly the bytes read and is never
-  /// zero-filled first.
-  std::size_t pread_append(ObjectId id, Bytes& out, std::size_t len,
-                           std::uint64_t offset, std::uint32_t* crc = nullptr);
+  /// The same read without the copy: appends to `out` up to `len` bytes as
+  /// sub-slices of the verified blocks (append_slice merges adjacent ones).
+  /// Blocks are immutable, so the slices stay a consistent snapshot of the
+  /// range however the object changes after the call; holding them keeps
+  /// the blocks' buffers alive.
+  std::size_t pread_slices(ObjectId id, std::vector<simnet::SharedSlice>& out,
+                           std::size_t len, std::uint64_t offset,
+                           std::uint32_t* crc = nullptr);
 
   /// pwrite semantics: writes all of `data` at `offset`, zero-extending any
   /// gap. Concurrent writers to disjoint ranges are safe. Returns the
@@ -179,8 +184,10 @@ class ObjectStore {
   void write_blocks(Object& obj, ByteSpan data, const simnet::SharedSlice* src,
                     std::uint64_t offset,
                     std::span<const std::uint32_t> piece_crcs) const;
-  /// Verifies the blocks [offset, offset + len) touches and hands their
-  /// in-range bytes to `put`, under the shared lock; returns the count.
+  /// Verifies the blocks [offset, offset + len) touches and hands each
+  /// one's in-range bytes [s, e) to `put(block bytes, s, e)`, under the
+  /// shared lock; returns the count. `put` returns a view of the bytes it
+  /// delivered, which is hashed for `crc` when checksums are off.
   template <class Put>
   std::size_t read(ObjectId id, std::uint64_t offset, std::size_t len,
                    std::uint32_t* crc, Put put);

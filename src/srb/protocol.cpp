@@ -1,5 +1,7 @@
 #include "srb/protocol.hpp"
 
+#include <algorithm>
+
 #include "common/checksum.hpp"
 
 namespace remio::srb {
@@ -29,14 +31,29 @@ Bytes start_frame(std::size_t reserve) {
 }
 
 void finish_frame(simnet::Socket& sock, Bytes&& frame, bool with_crc,
-                  std::uint32_t tail_crc, std::size_t tail_len) {
+                  FrameData&& data) {
+  const std::size_t head = frame.size();
+  const std::size_t data_len = simnet::total_size(data.parts);
   if (with_crc) {
-    const ByteSpan head(frame.data() + 4, frame.size() - 4 - tail_len);
-    ByteWriter(frame).u32(crc32c_combine(crc32c(head), tail_crc, tail_len));
+    const std::uint32_t crc = crc32c(ByteSpan(frame).subspan(4));
+    ByteWriter(frame).u32(crc32c_combine(crc, data.crc, data_len));
   }
-  const auto len = static_cast<std::uint32_t>(frame.size() - 4);
+  const auto len = static_cast<std::uint32_t>(frame.size() - 4 + data_len);
   std::memcpy(frame.data(), &len, 4);
-  sock.send_all(std::move(frame));
+  if (data.parts.empty()) {
+    sock.send_all(std::move(frame));
+    return;
+  }
+  // [len|head], the data, then the trailer: a view of the head buffer's
+  // tail, so the frame needs no buffer of its own for it.
+  const std::size_t size = frame.size();
+  const auto buf = std::make_shared<const Bytes>(std::move(frame));
+  std::vector<simnet::SharedSlice> parts;
+  parts.reserve(data.parts.size() + 2);
+  parts.push_back({buf, 0, head});
+  for (simnet::SharedSlice& p : data.parts) parts.push_back(std::move(p));
+  if (size > head) parts.push_back({buf, head, size});
+  sock.send_all(std::move(parts));
 }
 
 bool strip_frame_crc(ByteSpan& frame, std::span<const std::size_t> cuts,
@@ -59,16 +76,45 @@ bool strip_frame_crc(ByteSpan& frame, std::span<const std::size_t> cuts,
   return true;
 }
 
-simnet::SharedSlice recv_frame(simnet::Socket& sock) {
+bool strip_frame_crc(std::vector<simnet::SharedSlice>& frame) {
+  const std::size_t size = simnet::total_size(frame);
+  if (size < 5) return false;  // head byte + trailer at minimum
+  std::uint32_t crc = 0;
+  std::size_t left = size - 4;
+  for (const simnet::SharedSlice& p : frame) {
+    const std::size_t k = std::min(left, p.size());
+    crc = crc32c(p.view().first(k), crc);
+    left -= k;
+  }
+  // Take the trailer off the tail; it may straddle parts.
+  char wire[4];
+  for (std::size_t at = 4; at > 0;) {
+    simnet::SharedSlice& last = frame.back();
+    const std::size_t k = std::min(at, last.size());
+    at -= k;
+    last.end -= k;
+    std::memcpy(wire + at, last.view().data() + last.size(), k);
+    if (last.empty()) frame.pop_back();
+  }
+  std::uint32_t want;
+  std::memcpy(&want, wire, 4);
+  return crc == want;
+}
+
+std::vector<simnet::SharedSlice> recv_frame_parts(simnet::Socket& sock) {
   const simnet::SharedSlice prefix = sock.recv_exact(4);
   if (prefix.empty()) return {};  // clean EOF between frames
   std::uint32_t len;
   std::memcpy(&len, prefix.view().data(), 4);
   if (len == 0 || len > kMaxMessage) throw simnet::NetError("bad frame length");
 
-  simnet::SharedSlice frame = sock.recv_exact(len);
+  std::vector<simnet::SharedSlice> frame = sock.recv_parts(len);
   if (frame.empty()) throw simnet::NetError("truncated frame body");
   return frame;
+}
+
+simnet::SharedSlice recv_frame(simnet::Socket& sock) {
+  return simnet::gather(recv_frame_parts(sock));
 }
 
 }  // namespace remio::srb

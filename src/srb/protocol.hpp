@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "simnet/socket.hpp"
@@ -111,6 +112,14 @@ constexpr std::uint32_t kMaxListExtents = 4096;
 /// nothing the frame carries is copied again before it reaches the socket.
 Bytes start_frame(std::size_t reserve);
 
+/// A frame's data carried by reference: slices of immutable buffers the
+/// frame does not own (a read reply's bytes as views of the store's
+/// blocks), and the CRC32C of their concatenation.
+struct FrameData {
+  std::vector<simnet::SharedSlice> parts;
+  std::uint32_t crc = 0;
+};
+
 /// Completes a frame begun by start_frame — patches the length prefix and,
 /// with `with_crc`, appends the CRC32C trailer — and moves it into the
 /// socket. Checksummed framing (kFeatureWireChecksums sessions) gives the
@@ -119,11 +128,12 @@ Bytes start_frame(std::size_t reserve);
 /// it is what keeps the two ends in phase, and the fault model (like TCP
 /// segmentation) preserves it, so a corrupted frame is still a *complete*
 /// frame and the receiver can answer kChecksumMismatch in rhythm.
-/// `tail_crc` is the caller's CRC32C of the frame's last `tail_len` bytes
-/// (a read reply's data, whose CRC the store derived as it copied them):
-/// only the bytes before them are hashed, and the two CRCs are combined.
+/// `data`, when it has parts, is the rest of the body: the frame is sent as
+/// the slices [len|head], data's parts, [crc32c] without gathering them,
+/// and the trailer combines the head's CRC with data.crc, so only the head
+/// is hashed here. The bytes on the wire are those of the one-buffer frame.
 void finish_frame(simnet::Socket& sock, Bytes&& frame, bool with_crc,
-                  std::uint32_t tail_crc = 0, std::size_t tail_len = 0);
+                  FrameData&& data = {});
 
 /// Verifies and strips the CRC32C trailer of a received frame in place.
 /// Returns false on mismatch (or a frame too short to carry the trailer);
@@ -137,6 +147,9 @@ void finish_frame(simnet::Socket& sock, Bytes&& frame, bool with_crc,
 /// without cuts).
 bool strip_frame_crc(ByteSpan& frame, std::span<const std::size_t> cuts = {},
                      std::span<std::uint32_t> pieces = {});
+/// The same check over a frame received as slices (recv_frame_parts): the
+/// content is hashed part by part and the trailer taken off the tail.
+bool strip_frame_crc(std::vector<simnet::SharedSlice>& frame);
 
 /// Receives one frame and returns its content (everything after the length
 /// prefix) without copying it: a frame sent in one piece arrives as a view
@@ -145,5 +158,9 @@ bool strip_frame_crc(ByteSpan& frame, std::span<const std::size_t> cuts = {},
 /// clean EOF before a frame. Throws simnet::NetError on mid-frame EOF or a
 /// bad length.
 simnet::SharedSlice recv_frame(simnet::Socket& sock);
+/// recv_frame that keeps the content as the slices it arrived in, so a
+/// gathered frame is never gathered (Socket::recv_parts). No parts means
+/// clean EOF before a frame.
+std::vector<simnet::SharedSlice> recv_frame_parts(simnet::Socket& sock);
 
 }  // namespace remio::srb

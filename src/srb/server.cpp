@@ -206,18 +206,16 @@ class SrbServer::Session {
 
   void send(Bytes&& frame) { finish_frame(*sock_, std::move(frame), crc_); }
 
-  /// A data verb's kOk reply. A read's data sits at the frame's tail, and
-  /// data_crc is its CRC as the store derived it while copying it in, so
-  /// the trailer hashes only the bytes before it.
+  /// A data verb's kOk reply: the frame holds the status and the verb's
+  /// head; a read's bytes follow as views of the store's blocks, with the
+  /// CRC the store's verify derived for them.
   struct DataReply {
     Bytes frame;
-    std::uint32_t data_crc = 0;
-    std::size_t data_len = 0;
+    FrameData data;
   };
 
   void send(DataReply&& rep) {
-    finish_frame(*sock_, std::move(rep.frame), crc_, rep.data_crc,
-                 rep.data_len);
+    finish_frame(*sock_, std::move(rep.frame), crc_, std::move(rep.data));
   }
 
   void reply(Status st) { send(reply_frame(st)); }
@@ -443,10 +441,10 @@ class SrbServer::Session {
   /// A write hands the store its payload as slices of the request frame,
   /// whose whole blocks the store adopts, with the piece CRCs the frame
   /// verify left in pieces_. Returns the kOk reply with `head` bytes after
-  /// the status for the verb to fill; a read's bytes follow them, appended
-  /// by the store's verify with their CRC (the frame is never zero-filled),
-  /// and each extent's len becomes the bytes actually read. A refused op
-  /// has been answered and returns nullopt.
+  /// the status for the verb to fill; a read's bytes are the store's
+  /// verified blocks, sliced, not copied, with their CRC, and each extent's
+  /// len becomes the bytes actually read. A refused op has been answered
+  /// and returns nullopt.
   std::optional<DataReply> transfer(bool write, std::int32_t fd, ExtentList& xs,
                                 bool at_fp, ByteSpan data, std::size_t head) {
     const auto it = fds_.find(fd);
@@ -479,8 +477,7 @@ class SrbServer::Session {
         return std::nullopt;
       }
     }
-    const std::uint64_t data_bytes = write ? 0 : total_bytes(xs);
-    DataReply rep{reply_frame(Status::kOk, head + data_bytes)};
+    DataReply rep{reply_frame(Status::kOk, head), {}};
     rep.frame.resize(rep.frame.size() + head);
     // Where `data` starts in the request frame's buffer.
     const std::size_t data_at =
@@ -497,13 +494,12 @@ class SrbServer::Session {
         crcs = crcs.subspan(k);
       } else {
         std::uint32_t crc = 0;
-        x.len = store.pread_append(st.object, rep.frame, n, x.offset,
+        x.len = store.pread_slices(st.object, rep.data.parts, n, x.offset,
                                    crc_ ? &crc : nullptr);
-        rep.data_crc = crc32c_combine(rep.data_crc, crc, x.len);
+        rep.data.crc = crc32c_combine(rep.data.crc, crc, x.len);
       }
       done += x.len;
     }
-    rep.data_len = write ? 0 : done;
     if (write && tenant_ != nullptr)
       tenant_->adjust_bytes(static_cast<std::int64_t>(growth) -
                             static_cast<std::int64_t>(reserved));

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <thread>
 #include <utility>
@@ -780,9 +781,35 @@ Bytes legacy_frame(ByteSpan head, ByteSpan body, bool with_crc) {
   return out;
 }
 
+/// What a socket has charged so far: its stream cap, one path bucket, and
+/// its own byte counter.
+struct Charges {
+  std::uint64_t cap_charges, cap_bytes, path_charges, path_bytes, sent;
+  bool operator==(const Charges&) const = default;
+};
+
+Charges charges_of(const simnet::Socket& sock, const simnet::TokenBucket& path) {
+  return {sock.stream_cap()->charges(), sock.stream_cap()->consumed(),
+          path.charges(), path.consumed(), sock.bytes_sent()};
+}
+
+Charges operator-(const Charges& a, const Charges& b) {
+  return {a.cap_charges - b.cap_charges, a.cap_bytes - b.cap_bytes,
+          a.path_charges - b.path_charges, a.path_bytes - b.path_bytes,
+          a.sent - b.sent};
+}
+
 TEST(Framing, FinishFrameMatchesLegacyBytes) {
   simnet::ScopedTimeScale scale(5000.0);
-  auto [tx, rx] = simnet::Socket::make_pair({}, "a", "b");
+  // A capped stream and one path bucket, both too fast to ever wait, and
+  // small quanta, so a frame spans many and its charges can be compared.
+  simnet::ConnShaping shaping;
+  shaping.quantum = 4096;
+  shaping.stream_rate = 1e12;
+  shaping.stream_burst = 1e12;
+  const auto path = std::make_shared<simnet::TokenBucket>(1e12, 1e12, "path");
+  shaping.fwd_path = {path};
+  auto [tx, rx] = simnet::Socket::make_pair(shaping, "a", "b");
   const Bytes body = Rng(42).bytes(70000);
   const ByteSpan body_span(body.data(), body.size());
   const char op = static_cast<char>(Op::kObjWrite);
@@ -800,26 +827,40 @@ TEST(Framing, FinishFrameMatchesLegacyBytes) {
     EXPECT_EQ(got, want) << "request, crc " << with_crc;
 
     // Response shape, built in place the way the broker builds replies.
+    Charges before = charges_of(*tx, *path);
     Bytes frame = start_frame(status.size() + body.size());
     ByteWriter w(frame);
     w.raw(ByteSpan(status.data(), status.size()));
     w.raw(body_span);
     finish_frame(*tx, std::move(frame), with_crc);
+    const Charges one_buffer = charges_of(*tx, *path) - before;
     want = legacy_frame(ByteSpan(status.data(), status.size()), body_span, with_crc);
     got.assign(want.size(), 0);
     ASSERT_TRUE(rx->recv_all(MutByteSpan(got.data(), got.size())));
     EXPECT_EQ(got, want) << "response, crc " << with_crc;
+    const std::uint64_t quanta = (want.size() + shaping.quantum - 1) / shaping.quantum;
+    EXPECT_EQ(one_buffer.cap_charges, quanta);
+    EXPECT_EQ(one_buffer.path_charges, quanta);
+    EXPECT_EQ(one_buffer.sent, want.size());
 
-    // The same response with the body's CRC supplied, as a read reply
-    // carries the CRC its store derived: the trailer is unchanged.
-    frame = start_frame(status.size() + body.size());
-    ByteWriter tw(frame);
-    tw.raw(ByteSpan(status.data(), status.size()));
-    tw.raw(body_span);
-    finish_frame(*tx, std::move(frame), with_crc, crc32c(body_span), body.size());
+    // The same response gathered, as the broker sends a read reply: the
+    // body rides as slices of other buffers — cut off the quantum grid,
+    // with an empty part and two adjacent slices of one buffer — and only
+    // the status is hashed, combined with the body's CRC. The wire bytes
+    // and every shaping charge are those of the one-buffer frame.
+    before = charges_of(*tx, *path);
+    const auto a = std::make_shared<const Bytes>(body.begin(), body.begin() + 40000);
+    const auto b = std::make_shared<const Bytes>(body.begin() + 40000, body.end());
+    FrameData data;
+    data.parts = {{a, 0, 1000}, {a, 1000, 40000}, {b, 0, 0}, {b, 0, b->size()}};
+    data.crc = crc32c(body_span);
+    frame = start_frame(status.size());
+    ByteWriter(frame).raw(ByteSpan(status.data(), status.size()));
+    finish_frame(*tx, std::move(frame), with_crc, std::move(data));
+    EXPECT_EQ(charges_of(*tx, *path) - before, one_buffer) << "crc " << with_crc;
     got.assign(want.size(), 0);
     ASSERT_TRUE(rx->recv_all(MutByteSpan(got.data(), got.size())));
-    EXPECT_EQ(got, want) << "response with tail CRC, crc " << with_crc;
+    EXPECT_EQ(got, want) << "gathered response, crc " << with_crc;
   }
 }
 
@@ -830,11 +871,16 @@ TEST(Framing, FinishFrameMatchesLegacyBytes) {
 
 /// Serves one connection on orion:5545: kConnect and kObjOpen get proper
 /// answers (no feature flags, so the session runs unchecksummed), every
-/// kObjRead gets `read_body` with status kOk, anything else a bare kOk.
+/// kObjRead and kObjReadList gets `read_body` with status kOk, anything
+/// else a bare kOk. A read reply goes out in several sends, cut at the
+/// frame positions in `cuts`, so it reaches the client as several slices.
 class FakeBroker {
  public:
-  FakeBroker(simnet::Fabric& fabric, Bytes read_body)
-      : acceptor_(fabric.listen("orion", 5545)), read_body_(std::move(read_body)) {
+  FakeBroker(simnet::Fabric& fabric, Bytes read_body,
+             std::vector<std::size_t> cuts = {})
+      : acceptor_(fabric.listen("orion", 5545)),
+        read_body_(std::move(read_body)),
+        cuts_(std::move(cuts)) {
     thread_ = std::thread([this] { serve(); });
   }
   ~FakeBroker() {
@@ -855,13 +901,30 @@ class FakeBroker {
         Bytes reply = start_frame(16 + read_body_.size());
         ByteWriter w(reply);
         w.i32(static_cast<std::int32_t>(Status::kOk));
-        switch (static_cast<Op>(req.view()[0])) {
+        const auto op = static_cast<Op>(req.view()[0]);
+        switch (op) {
           case Op::kConnect: w.str("fake-broker"); break;
           case Op::kObjOpen: w.i32(3); break;
-          case Op::kObjRead: w.raw(ByteSpan(read_body_.data(), read_body_.size())); break;
+          case Op::kObjRead:
+          case Op::kObjReadList:
+            w.raw(ByteSpan(read_body_.data(), read_body_.size()));
+            break;
           default: break;
         }
-        finish_frame(**sock, std::move(reply), /*with_crc=*/false);
+        if (op != Op::kObjRead && op != Op::kObjReadList) {
+          finish_frame(**sock, std::move(reply), /*with_crc=*/false);
+          continue;
+        }
+        const auto len = static_cast<std::uint32_t>(reply.size() - 4);
+        std::memcpy(reply.data(), &len, 4);
+        const ByteSpan wire(reply.data(), reply.size());
+        std::size_t at = 0;
+        for (const std::size_t cut : cuts_) {
+          ASSERT_LT(cut, wire.size());
+          (*sock)->send_all(wire.subspan(at, cut - at));
+          at = cut;
+        }
+        (*sock)->send_all(wire.subspan(at));
       }
     } catch (const simnet::NetError&) {
       // The client hung up mid-exchange; nothing left to serve.
@@ -870,6 +933,7 @@ class FakeBroker {
 
   std::shared_ptr<simnet::Acceptor> acceptor_;
   Bytes read_body_;
+  std::vector<std::size_t> cuts_;
   std::thread thread_;
 };
 
@@ -884,20 +948,43 @@ Bytes read_body(std::uint32_t claimed, std::size_t carried) {
   return body;
 }
 
-/// Reads 64 bytes with pread (or read, the file-pointer variant) from a
-/// fake broker answering `body`; expects kProtocol and that nothing past
-/// the caller's span was written.
-void expect_read_rejected(simnet::Fabric& fabric, Bytes body, bool file_pointer) {
-  FakeBroker broker(fabric, std::move(body));
-  SrbClient client(fabric, "evil", "orion", 5545);
+/// How a test reads 64 bytes: pread, read (the file-pointer variant), or
+/// preadv of two 32-byte extents.
+enum class ReadVerb { kPread, kRead, kReadv };
+
+/// A kObjReadList response body for two extents: the count, the claimed
+/// actual lengths, and `carried` data bytes.
+Bytes readv_body(std::uint32_t first, std::uint32_t second, std::size_t carried) {
+  Bytes body;
+  ByteWriter w(body);
+  w.u32(2);
+  w.u32(first);
+  w.u32(second);
+  const Bytes data(carried, 'D');
+  w.raw(ByteSpan(data.data(), data.size()));
+  return body;
+}
+
+/// Reads 64 bytes with `verb` from a fake broker answering `body` (in sends
+/// cut at `cuts`); returns how many bytes the client reported.
+std::size_t read_from(SrbClient& client, ReadVerb verb, MutByteSpan out) {
   const std::int32_t fd = client.open("/fake", kRead);
+  switch (verb) {
+    case ReadVerb::kPread: return client.pread(fd, out, 0);
+    case ReadVerb::kRead: return client.read(fd, out);
+    case ReadVerb::kReadv: return client.preadv(fd, {{0, 32}, {100, 32}}, out);
+  }
+  return 0;
+}
+
+/// Expects kProtocol and that nothing past the caller's span was written.
+void expect_read_rejected(simnet::Fabric& fabric, Bytes body, ReadVerb verb,
+                          std::vector<std::size_t> cuts = {}) {
+  FakeBroker broker(fabric, std::move(body), std::move(cuts));
+  SrbClient client(fabric, "evil", "orion", 5545);
   Bytes buf(64 + 32, 'G');  // 32 guard bytes follow the caller's span
-  const MutByteSpan out(buf.data(), 64);
   try {
-    if (file_pointer)
-      client.read(fd, out);
-    else
-      client.pread(fd, out, 0);
+    (void)read_from(client, verb, MutByteSpan(buf.data(), 64));
     ADD_FAILURE() << "malformed read response accepted";
   } catch (const SrbError& e) {
     EXPECT_EQ(e.status(), Status::kProtocol);
@@ -909,13 +996,43 @@ void expect_read_rejected(simnet::Fabric& fabric, Bytes body, bool file_pointer)
 }
 
 TEST_F(ProtocolFuzzTest, OversizedReadResponseRejected) {
-  for (const bool file_pointer : {false, true})
-    expect_read_rejected(fabric_, read_body(96, 96), file_pointer);
+  for (const ReadVerb verb : {ReadVerb::kPread, ReadVerb::kRead})
+    expect_read_rejected(fabric_, read_body(96, 96), verb);
 }
 
 TEST_F(ProtocolFuzzTest, TruncatedReadResponseIsNotEof) {
-  for (const bool file_pointer : {false, true})
-    expect_read_rejected(fabric_, read_body(64, 10), file_pointer);
+  for (const ReadVerb verb : {ReadVerb::kPread, ReadVerb::kRead})
+    expect_read_rejected(fabric_, read_body(64, 10), verb);
+}
+
+TEST_F(ProtocolFuzzTest, ReadRepliesSplitAcrossSendsAreCheckedAndParsed) {
+  // Frame positions: [len:4][status:4][read: len:4 | readv: count:4
+  // actual:4 actual:4][data]. The cuts land inside the status, inside the
+  // body's head, and inside the data, so the reply reaches the client as
+  // four slices.
+  const std::vector<std::size_t> read_cuts = {6, 10, 14};
+  const std::vector<std::size_t> readv_cuts = {6, 18, 24};
+  // Oversized and truncated bodies are still rejected.
+  for (const ReadVerb verb : {ReadVerb::kPread, ReadVerb::kRead}) {
+    expect_read_rejected(fabric_, read_body(96, 96), verb, read_cuts);
+    expect_read_rejected(fabric_, read_body(64, 10), verb, read_cuts);
+  }
+  expect_read_rejected(fabric_, readv_body(48, 16, 64), ReadVerb::kReadv, readv_cuts);
+  expect_read_rejected(fabric_, readv_body(32, 32, 40), ReadVerb::kReadv, readv_cuts);
+
+  // A well-formed reply whose head is split across slices parses exactly.
+  const auto expect_parsed = [&](Bytes body, ReadVerb verb,
+                                 std::vector<std::size_t> cuts, std::size_t n) {
+    FakeBroker broker(fabric_, std::move(body), std::move(cuts));
+    SrbClient client(fabric_, "evil", "orion", 5545);
+    Bytes buf(64 + 32, 'G');
+    EXPECT_EQ(read_from(client, verb, MutByteSpan(buf.data(), 64)), n);
+    for (std::size_t i = 0; i < buf.size(); ++i)
+      ASSERT_EQ(buf[i], i < n ? 'D' : 'G') << "byte " << i;
+  };
+  expect_parsed(read_body(64, 64), ReadVerb::kPread, read_cuts, 64);
+  expect_parsed(read_body(50, 50), ReadVerb::kRead, read_cuts, 50);
+  expect_parsed(readv_body(32, 32, 64), ReadVerb::kReadv, readv_cuts, 64);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // routing and connection lifecycle.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <future>
 #include <latch>
 #include <numeric>
@@ -679,6 +680,100 @@ TEST(RecvInPlace, ViewOutlivesTheSendingSocket) {
   EXPECT_EQ(got.buf.use_count(), 1);
   EXPECT_TRUE(std::equal(body.begin(), body.end(), got.view().begin(),
                          got.view().end()));
+}
+
+// --- gathered sends: one message from several buffers -----------------------
+
+/// A pair with 4 KiB quanta whose client sends charge a stream cap and one
+/// path bucket, both too fast to ever wait, so charges can be counted.
+struct ChargedPair {
+  std::shared_ptr<TokenBucket> path = std::make_shared<TokenBucket>(1e12, 1e12, "path");
+  std::unique_ptr<Socket> client;
+  std::unique_ptr<Socket> server;
+
+  ChargedPair() {
+    ConnShaping shaping;
+    shaping.quantum = 4096;
+    shaping.window_bytes = 64 * 1024;
+    shaping.stream_rate = 1e12;
+    shaping.stream_burst = 1e12;
+    shaping.fwd_path = {path};
+    std::tie(client, server) = Socket::make_pair(shaping, "client", "server");
+  }
+
+  /// {cap charges, cap bytes, path charges, path bytes, bytes sent}.
+  std::array<std::uint64_t, 5> charges() const {
+    return {client->stream_cap()->charges(), client->stream_cap()->consumed(),
+            path->charges(), path->consumed(), client->bytes_sent()};
+  }
+};
+
+std::array<std::uint64_t, 5> operator-(std::array<std::uint64_t, 5> a,
+                                       const std::array<std::uint64_t, 5>& b) {
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] -= b[i];
+  return a;
+}
+
+/// `msg` as parts of two buffers: two adjacent slices of the first, an
+/// empty part, and the whole second, cut off the 4 KiB quantum grid.
+std::vector<SharedSlice> as_parts(const Bytes& msg, std::size_t cut) {
+  const auto a = std::make_shared<const Bytes>(msg.begin(), msg.begin() + static_cast<std::ptrdiff_t>(cut));
+  const auto b = std::make_shared<const Bytes>(msg.begin() + static_cast<std::ptrdiff_t>(cut), msg.end());
+  return {{a, 0, 3}, {a, 3, cut}, {b, 0, 0}, {b, 0, b->size()}};
+}
+
+TEST(GatherSend, PartsChargeLikeOneBufferAndArriveAsViews) {
+  ScopedTimeScale scale(kScale);
+  ChargedPair pair;
+  const Bytes msg = Rng(14).bytes(6 * 4096 + 123);
+
+  auto before = pair.charges();
+  pair.client->send_all(Bytes(msg));
+  const auto one_part = pair.charges() - before;
+  EXPECT_EQ(one_part[0], 7u);  // one charge per quantum
+  EXPECT_EQ(one_part[2], 7u);
+  EXPECT_EQ(one_part[4], msg.size());
+  std::vector<SharedSlice> got = pair.server->recv_parts(msg.size());
+  ASSERT_EQ(got.size(), 1u);  // the quanta of one buffer merge back
+  EXPECT_TRUE(std::equal(msg.begin(), msg.end(), got[0].view().begin(), got[0].view().end()));
+
+  const std::vector<SharedSlice> parts = as_parts(msg, 10000);
+  before = pair.charges();
+  pair.client->send_all(parts);
+  EXPECT_EQ(pair.charges() - before, one_part);
+  got = pair.server->recv_parts(msg.size());
+  // Views of the sender's two buffers, adjacent slices merged, no copy.
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].buf, parts[0].buf);
+  EXPECT_EQ(got[1].buf, parts[3].buf);
+  const SharedSlice whole = gather(std::move(got));
+  EXPECT_TRUE(std::equal(msg.begin(), msg.end(), whole.view().begin(), whole.view().end()));
+  EXPECT_EQ(pair.server->bytes_received(), 2 * msg.size());
+}
+
+TEST(GatherSend, FlipLandsInAPrivateCopyOfOnePart) {
+  ScopedTimeScale scale(kScale);
+  auto [client, server] = sliced_pair();
+  auto fault = std::make_shared<FaultInjector>();
+  fault->set_corrupt_probability(1.0);
+  client->set_fault(fault, "gather", /*corrupt_only=*/true);
+  Rng rng(15);
+  constexpr int kSends = 24;
+  for (int i = 0; i < kSends; ++i) {
+    const Bytes sent = rng.bytes(3 * 4096 + rng.below(4096));
+    const std::vector<SharedSlice> parts = as_parts(sent, 1 + rng.below(sent.size() - 1));
+    const Bytes a = *parts[0].buf;
+    const Bytes b = *parts[3].buf;
+    client->send_all(parts);
+    Bytes got(sent.size());
+    ASSERT_TRUE(server->recv_all(MutByteSpan(got.data(), got.size())));
+    const auto bits = differing_bits(sent, got);
+    ASSERT_EQ(bits.size(), 1u) << "send " << i;
+    EXPECT_GE(bits[0], 32u) << "the 4-byte length prefix must survive";
+    EXPECT_EQ(*parts[0].buf, a) << "send " << i;  // the shared buffers are untouched
+    EXPECT_EQ(*parts[3].buf, b) << "send " << i;
+  }
+  EXPECT_EQ(fault->corruptions(), static_cast<std::uint64_t>(kSends));
 }
 
 }  // namespace

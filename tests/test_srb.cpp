@@ -904,6 +904,92 @@ TEST(ObjectStoreConcurrency, ReportedCrcMatchesReturnedBytesUnderWritersRotAndSc
   EXPECT_EQ(crc, crc32c(ByteSpan(image.data(), image.size())));
 }
 
+TEST(ObjectStoreConcurrency, GatheredRepliesKeepTheirSnapshotWhileWritersReplaceBlocks) {
+  // A read reply's data leaves the broker as views of the store's blocks
+  // and stays views until the client copies it out. Meanwhile a writer
+  // replaces those blocks, and the quarter rule copies out the blocks of a
+  // frame the object mostly dropped. Blocks are immutable, so every read
+  // must return exactly the object as it stood between two writes.
+  constexpr std::size_t kBlock = 64u * 1024;
+  constexpr std::size_t kSize = 8 * kBlock;
+  constexpr std::size_t kHead = 7 * kBlock;  // the writer's partial frames
+  constexpr int kCycles = 24;
+  simnet::ScopedTimeScale scale(2000.0);
+  simnet::Fabric fabric;
+  for (const char* name : {"orion", "node0"}) {
+    simnet::HostSpec host;
+    host.name = name;
+    fabric.add_host(host);
+  }
+  SrbServer server(fabric, ServerConfig{});
+  server.start();
+  const Bytes x = Rng(61).bytes(kSize);
+  const Bytes y = Rng(62).bytes(kSize);
+  // The writer's cycle, one frame per write: X whole; Y over the first 7
+  // blocks (X's frame keeps 1 of its 8 blocks, so the quarter rule copies
+  // that block out); Y's last block; X over the first 7 blocks.
+  const auto mix = [&](const Bytes& head, const Bytes& tail) {
+    Bytes out(tail);
+    std::copy_n(head.begin(), kHead, out.begin());
+    return out;
+  };
+  const std::vector<Bytes> states = {x, mix(y, x), y, mix(x, y)};
+
+  SrbClient writer(fabric, "node0", "orion", 5544, {}, "writer");
+  const std::int32_t wfd = writer.open("/gathered", kRead | kWrite | kCreate);
+  writer.pwrite(wfd, ByteSpan(x.data(), x.size()), 0);
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> wrong{0};
+  const auto reader = [&](std::uint64_t seed) {
+    SrbClient client(fabric, "node0", "orion", 5544, {}, "reader" + std::to_string(seed));
+    const std::int32_t fd = client.open("/gathered", kRead);
+    Rng rng(seed);
+    Bytes buf(3 * kBlock);
+    while (!stop.load()) {
+      const std::size_t off = rng.below(kSize - 1);
+      const std::size_t len = 1 + rng.below(std::min(buf.size(), kSize - off));
+      try {
+        const std::size_t n = client.pread(fd, MutByteSpan(buf.data(), len), off);
+        bool matched = false;
+        for (const Bytes& s : states)
+          matched = matched ||
+                    (n == len && std::equal(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(n),
+                                            s.begin() + static_cast<std::ptrdiff_t>(off)));
+        (matched ? reads : wrong).fetch_add(1);
+      } catch (const SrbError&) {
+        wrong.fetch_add(1);
+      }
+    }
+  };
+  std::thread r1(reader, 71);
+  std::thread r2(reader, 72);
+  for (int i = 0; i < kCycles; ++i) {
+    writer.pwrite(wfd, ByteSpan(y.data(), kHead), 0);
+    writer.pwrite(wfd, ByteSpan(y.data() + kHead, kSize - kHead), kHead);
+    writer.pwrite(wfd, ByteSpan(x.data(), kHead), 0);
+    writer.pwrite(wfd, ByteSpan(x.data(), x.size()), 0);
+  }
+  // Let each reader finish a few reads after the last write.
+  const std::uint64_t target = reads.load() + 4;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (reads.load() < target && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  stop.store(true);
+  r1.join();
+  r2.join();
+
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GE(reads.load(), 4u);
+  const auto st = writer.stat("/gathered");
+  ASSERT_TRUE(st.has_value());
+  // The quarter rule kept the held buffers within 4x the object.
+  EXPECT_LE(server.store().held_bytes(st->object_id), 4 * kSize);
+  Bytes back(kSize);
+  EXPECT_EQ(writer.pread(wfd, MutByteSpan(back.data(), back.size()), 0), kSize);
+  EXPECT_EQ(back, x);
+}
+
 // --- wire checksums: negotiation + interop ----------------------------------
 
 TEST_F(SrbTest, WireChecksumsNegotiatedByDefault) {
@@ -1083,6 +1169,48 @@ TEST_F(SrbTest, AdminScrubQuarantinesOverTheWire) {
   rep = c->scrub();
   EXPECT_EQ(rep.healed, 1u);
   EXPECT_EQ(c->pread(fd, MutByteSpan(back.data(), back.size()), 0), 16u);
+  c->close(fd);
+}
+
+TEST_F(SrbTest, FlippedGatheredReplyNeverReachesTheStore) {
+  // A read reply's data leaves the broker as views of the store's blocks.
+  // A bit flipped in flight lands in a private copy of the part it hits:
+  // the client sees a retryable checksum mismatch, a clean re-read returns
+  // the original bytes, and no store block changed.
+  auto fault = std::make_shared<simnet::FaultInjector>();
+  fabric_.set_fault_injector(fault);
+  auto c = make_client();
+  ASSERT_TRUE(c->wire_checksums());
+  const auto fd = c->open("/crc/gathered", kRead | kWrite | kCreate);
+  const Bytes data = Rng(51).bytes(4 * 65536);
+  c->pwrite(fd, ByteSpan(data.data(), data.size()), 0);
+  const auto st = c->stat("/crc/gathered");
+  ASSERT_TRUE(st.has_value());
+  // Views of the stored blocks, held as an in-flight reply holds them.
+  std::vector<simnet::SharedSlice> held;
+  ASSERT_EQ(server_->store().pread_slices(st->object_id, held, data.size(), 0),
+            data.size());
+
+  fault->set_corrupt_probability(1.0, "", /*responses_only=*/true);
+  Bytes back(data.size());
+  try {
+    c->pread(fd, MutByteSpan(back.data(), back.size()), 0);
+    FAIL() << "expected SrbError";
+  } catch (const SrbError& e) {
+    EXPECT_EQ(e.status(), Status::kChecksumMismatch);
+    EXPECT_TRUE(e.retryable());
+    EXPECT_EQ(e.domain(), remio::ErrorDomain::kIntegrity);
+  }
+  EXPECT_EQ(fault->corruptions(), 1u);
+  EXPECT_EQ(c->crc_failures(), 1u);  // the reply, not the request, was hit
+
+  fault->set_corrupt_probability(0.0);
+  EXPECT_EQ(c->pread(fd, MutByteSpan(back.data(), back.size()), 0), data.size());
+  EXPECT_EQ(back, data);
+  const simnet::SharedSlice blocks = simnet::gather(std::move(held));
+  EXPECT_TRUE(std::equal(data.begin(), data.end(), blocks.view().begin(),
+                         blocks.view().end()));
+  EXPECT_EQ(c->scrub().mismatched, 0u);
   c->close(fd);
 }
 

@@ -4,6 +4,9 @@
 // bookkeeping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "core/semplar.hpp"
 #include "simnet/timescale.hpp"
 #include "testbed/phase.hpp"
@@ -186,12 +189,19 @@ TEST_F(TestbedTest, MpiTransportChargesNodeBus) {
 TEST_F(TestbedTest, ComputeScalesWithCpuSpeed) {
   Testbed das(das2(), 1);
   Testbed osc(osc_p4(), 1);
-  const double t0 = simnet::sim_now();
-  das.compute(1.0);
-  const double das_dt = simnet::sim_now() - t0;
-  const double t1 = simnet::sim_now();
-  osc.compute(1.0);
-  const double osc_dt = simnet::sim_now() - t1;
+  // compute() is a wall-clock sleep, which a busy host can only stretch:
+  // the shortest of several calls is the one closest to the model.
+  const auto shortest = [](Testbed& tb) {
+    double best = std::numeric_limits<double>::infinity();
+    for (int i = 0; i < 5; ++i) {
+      const double t0 = simnet::sim_now();
+      tb.compute(1.0);
+      best = std::min(best, simnet::sim_now() - t0);
+    }
+    return best;
+  };
+  const double das_dt = shortest(das);
+  const double osc_dt = shortest(osc);
   EXPECT_LT(osc_dt, das_dt);  // 2.4 GHz Xeon vs 1 GHz P-III
 }
 
